@@ -105,7 +105,7 @@ class EdmdPair:
 
 
 def _pairing(first: np.ndarray, second: np.ndarray, basis: ObservableBasis) -> np.ndarray:
-    if basis.conjugate_second_slot:
+    if basis.kind == FOURIER:
         second = second.conj()
     return first @ second.T
 
@@ -201,8 +201,6 @@ def build_infinite(
     h = gram_infinite(basis, n)
     h_ext = g_ext = None
     if basis.kind == FOURIER and imap.spectrum_kind == "skewed_doubling":
-        if not basis.conjugate_second_slot:
-            raise ParameterError("closed-form fourier cross matrix requires conjugation")
         g = fourier_cross_closed(imap.spectrum_param, n)
         provenance = Provenance("closed_form")
     else:

@@ -2,8 +2,8 @@
 
 Two dictionaries are supported: monomials x^k, k = 0..N-1, and Fourier
 modes exp(i*pi*(k-K)*x) with N = 2K+1 odd.  For Fourier modes the second
-slot of every pairing is conjugated by default, which turns the
-infinite-node Gram matrix into the identity.
+slot of every pairing is conjugated, which turns the infinite-node Gram
+matrix into the identity.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class ObservableBasis:
 
     kind: str
     size: int
-    conjugate_second_slot: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in (MONOMIALS, FOURIER):
@@ -51,8 +50,20 @@ def monomial_basis(size: int) -> ObservableBasis:
     return ObservableBasis(MONOMIALS, size)
 
 
-def fourier_basis(size: int, conjugate_second_slot: bool = True) -> ObservableBasis:
-    return ObservableBasis(FOURIER, size, conjugate_second_slot)
+def fourier_basis(size: int) -> ObservableBasis:
+    return ObservableBasis(FOURIER, size)
+
+
+def _power_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[k] = z**k, each row the previous row times z.
+
+    Costs one vectorised multiply per row; row k carries at most k
+    roundings of the working dtype.
+    """
+    out[0] = 1
+    for k in range(1, len(out)):
+        np.multiply(out[k - 1], z, out=out[k])
+    return out
 
 
 def eval_basis(basis: ObservableBasis, x: np.ndarray | float) -> np.ndarray:
@@ -65,11 +76,14 @@ def eval_basis(basis: ObservableBasis, x: np.ndarray | float) -> np.ndarray:
     if np.any(arr < -1.0) or np.any(arr > 1.0):
         raise MapDomainError("observables evaluated outside [-1, 1]")
     if basis.kind == MONOMIALS:
-        out = arr[np.newaxis, :] ** np.arange(basis.size)[:, np.newaxis]
+        out = _power_rows(arr, np.empty((basis.size, arr.size), dtype=arr.dtype))
     else:
+        # modes 0..K as powers of exp(i*pi*x); modes -K..-1 are their conjugates
         half = basis.size // 2
-        modes = np.arange(basis.size) - half
-        out = np.exp(1j * np.pi * modes[:, np.newaxis] * arr[np.newaxis, :])
+        z = np.exp(1j * np.pi * arr)
+        out = np.empty((basis.size, arr.size), dtype=z.dtype)
+        _power_rows(z, out[half:])
+        np.conjugate(out[:half:-1], out=out[:half])
     return out[:, 0] if np.ndim(x) == 0 else out
 
 
@@ -88,10 +102,6 @@ def gram_infinite(
         total = k[:, np.newaxis] + k[np.newaxis, :]
         one = np.asarray(1, dtype=dtype)
         return np.where(total % 2 == 0, one / (total + one), np.zeros_like(one))
-    if not basis.conjugate_second_slot:
-        raise ParameterError(
-            "closed-form fourier Gram requires the conjugated second slot"
-        )
     return np.eye(n, dtype=complex)
 
 

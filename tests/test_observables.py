@@ -19,22 +19,61 @@ from edmdmap.spectral import spectral_norm
 SKEW = 1.0 / np.sqrt(2.0)
 
 
+def _sample_points(dtype=float):
+    rng = np.random.default_rng(20240)
+    return np.concatenate([rng.uniform(-1.0, 1.0, 500), [-1.0, 0.0, 1.0]]).astype(dtype)
+
+
 class TestEvalBasis:
+    # Inputs are looped rather than parametrised so the test ids stay stable.
     def test_monomial_powers(self):
         assert eval_basis(monomial_basis(3), 0.5) == pytest.approx([1.0, 0.5, 0.25])
+        for dtype in (np.float64, np.longdouble):
+            xs = _sample_points(dtype)
+            for n in (1, 3, 15, 40):
+                values = eval_basis(monomial_basis(n), xs)
+                assert values.dtype == dtype and values.shape == (n, xs.size)
+                k = np.arange(n)
+                # row k carries k rounded products; pow rounds to about 1 ulp
+                tol = (k + 1) * np.finfo(dtype).eps
+                assert np.all(np.abs(values - xs ** k[:, None]) <= tol[:, None])
+                for x in (-1.0, 1.0):
+                    assert np.array_equal(eval_basis(monomial_basis(n), dtype(x)), x ** k)
 
     def test_monomials_at_zero(self):
-        values = eval_basis(monomial_basis(6), 0.0)
-        assert values[0] == 1.0 and np.all(values[1:] == 0.0)
+        for n in (1, 6):
+            values = eval_basis(monomial_basis(n), 0.0)
+            assert values.shape == (n,)
+            assert values[0] == 1.0 and np.all(values[1:] == 0.0)
 
     def test_fourier_endpoint(self):
         values = eval_basis(fourier_basis(3), 1.0)
         assert values == pytest.approx([-1.0, 1.0, -1.0], abs=1e-15)
+        for n in (1, 3, 49):
+            modes = np.arange(n) - n // 2
+            for x in (-1.0, 1.0):
+                values = eval_basis(fourier_basis(n), x)
+                assert values.shape == (n,) and values[n // 2] == 1.0
+                # exp(+-i*pi) carries the rounding of pi, raised to the power |k|
+                tol = (np.abs(modes) + 1) * np.finfo(float).eps
+                assert np.all(np.abs(values - (-1.0) ** modes) <= tol)
+
+    @pytest.mark.parametrize("n", [1, 7, 49, 129])
+    def test_fourier_against_exp(self, n):
+        xs = _sample_points()
+        values = eval_basis(fourier_basis(n), xs)
+        assert values.dtype == complex and values.shape == (n, xs.size)
+        modes = np.arange(n) - n // 2
+        direct = np.exp(1j * np.pi * modes[:, None] * xs[None, :])
+        # the rounding of pi*x is amplified |k| times in both forms
+        tol = 2.0 * np.pi * (np.abs(modes) + 1) * np.finfo(float).eps
+        assert np.all(np.abs(values - direct) <= tol[:, None])
 
     def test_fourier_unit_modulus(self):
         xs = np.linspace(-1.0, 1.0, 37)
-        values = eval_basis(fourier_basis(7), xs)
-        assert np.abs(np.abs(values) - 1.0).max() < 1e-14
+        for n in (7, 49):
+            values = eval_basis(fourier_basis(n), xs)
+            assert np.abs(np.abs(values) - 1.0).max() < 1e-14
 
     def test_domain_check(self):
         with pytest.raises(MapDomainError):
