@@ -77,6 +77,7 @@ from .bench import (
     parse_config,
     read_records,
     run_sweep,
+    sweep_config,
     sweep_config_from_file,
     sweep_config_from_text,
     write_radius_records,

@@ -44,6 +44,7 @@ __all__ = [
     "fit_decay",
     "fourier_radius_study",
     "parse_config",
+    "sweep_config",
     "write_records",
     "read_records",
     "write_radius_records",
@@ -128,7 +129,8 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Declarative experiment grid over (map, basis, N, M)."""
+    """Declarative experiment grid over (map, basis, N, M); construction
+    checks every range, and its errors name the config key."""
 
     imap: IntervalMap
     basis_kind: str
@@ -142,19 +144,30 @@ class SweepConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.n_values:
-            raise ConfigError("empty N list")
-        if not self.m_values and self.schedule is None:
-            raise ConfigError("need an M list or a schedule rule")
-        if self.m_values and self.schedule is not None:
-            raise ConfigError("M list and schedule rule are mutually exclusive")
+        if not self.n_values or min(self.n_values) < 1:
+            raise ConfigError(f"key 'N': need sizes >= 1, got {self.n_values}")
+        if bool(self.m_values) == (self.schedule is not None):
+            raise ConfigError("need exactly one of the keys 'M' and 'schedule'")
         if self.basis_kind not in (MONOMIALS, FOURIER):
-            raise ConfigError(f"unknown basis {self.basis_kind!r}")
-        if self.eigen_indices is not None:
-            if not self.eigen_indices:
-                raise ConfigError("empty eigen-index list")
-            if max(self.eigen_indices) >= min(self.n_values):
-                raise ConfigError("eigen indices must be < min(N)")
+            raise ConfigError(f"key 'basis': unknown basis {self.basis_kind!r}")
+        if self.basis_kind == FOURIER and any(n % 2 == 0 for n in self.n_values):
+            raise ConfigError("key 'N': basis = fourier needs odd sizes N = 2K+1")
+        indices, n_min = self.eigen_indices, min(self.n_values)
+        if indices is not None and not (indices and 0 <= min(indices) <= max(indices) < n_min):
+            raise ConfigError(f"key 'eigen_indices': need indices in [0, min(N)), got {indices}")
+        if not 0.0 <= self.eps_pinv < 1.0:
+            raise ConfigError(f"key 'eps_pinv': {self.eps_pinv} outside [0, 1)")
+        if self.quad_order < 1:
+            raise ConfigError(f"key 'quad_order': {self.quad_order} must be >= 1")
+        try:
+            cells = self.cells()
+        except (EdmdMapError, ArithmeticError, ValueError) as exc:
+            raise ConfigError(f"key 'schedule': {exc}") from exc
+        finite = [m for _, m in cells if m is not None]
+        if min(finite, default=1) < 1:
+            raise ConfigError(f"key 'M': need node counts >= 1, got {min(finite)}")
+        if self.delta is not None and not all(0.0 <= self.delta <= 2.0 / m for m in finite):
+            raise ConfigError(f"key 'delta': {self.delta} outside [0, 2/M] at M = {max(finite)}")
 
     def cells(self) -> list[tuple[int, int | None]]:
         if self.schedule is not None:
@@ -303,9 +316,58 @@ def fourier_radius_study(
 # Plain-text configuration
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
-    out: dict[str, str] = {}
+def _one_of(*names: str):
+    def read(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+    return read
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
+def _schedule(text: str) -> tuple[str, float]:
+    found = re.fullmatch(r"(corollary1|quadratic)\(([^)]+)\)", text.replace(" ", ""))
+    if not found:
+        raise ValueError("expected corollary1(R) or quadratic(c)")
+    return found.group(1), float(found.group(2))
+
+
+# map kind -> (the key holding its parameter, constructor)
+_MAPS = {"skewed_doubling": ("a", make_skewed_doubling), "blaschke": ("mu", make_blaschke)}
+
+# Every accepted key and the reader of its text value.  Ranges are checked by
+# SweepConfig and the map constructors, which figure recipes also go through.
+CONFIG_KEYS = {
+    "map": _one_of(*_MAPS),
+    "a": float,
+    "mu": float,
+    "basis": _one_of(MONOMIALS, FOURIER),
+    "N": _int_list,
+    "M": lambda text: tuple(None if p.strip() == "inf" else int(p) for p in text.split(",")),
+    "schedule": _schedule,
+    "node_rule": _one_of("midpoint", "offset"),
+    "delta": float,
+    "quad_order": int,
+    "eps_pinv": float,
+    "eigen_indices": lambda text: None if text == "all" else _int_list(text),
+    "out": str,
+    "r": float,
+    "R_disk": float,
+    "L_method": _one_of("auto", "affine", "cauchy"),
+    "rho": float,
+    "sample_radius": float,
+    "samples": int,
+}
+
+
+def parse_config(text: str) -> dict[str, object]:
+    """Parse flat ``key = value`` lines ('#' starts a comment) into typed
+    values.  A key outside CONFIG_KEYS or a value its reader rejects is a
+    ConfigError."""
+    out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -317,111 +379,56 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            out[key] = CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: key {key!r}: cannot read {value!r}: {exc}") from exc
     return out
 
 
-def config_float(raw: dict[str, str], key: str, default: float | None = None) -> float | None:
-    if key not in raw:
-        return default
+def map_from_config(cfg: dict[str, object]) -> IntervalMap:
+    """The interval map a parsed config names, with its optional (r, R_disk)."""
+    kind = cfg.get("map")
+    if kind not in _MAPS:
+        raise ConfigError(f"key 'map': expected one of {', '.join(_MAPS)}, got {kind!r}")
+    param, make = _MAPS[kind]
+    for other, _ in _MAPS.values():
+        if other != param and other in cfg:
+            raise ConfigError(f"key {other!r} is not read by map = {kind}")
+    if param not in cfg:
+        raise ConfigError(f"map = {kind} needs key {param!r}")
+    if ("r" in cfg) != ("R_disk" in cfg):
+        raise ConfigError("keys 'r' and 'R_disk' must be given together")
     try:
-        return float(raw[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a number: {raw[key]!r}") from exc
-
-
-def config_int_list(raw: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part.strip()) for part in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: not a comma-separated int list: {raw!r}") from exc
-
-
-def map_from_config(raw: dict[str, str]) -> IntervalMap:
-    kind = raw.get("map")
-    if kind is None:
-        raise ConfigError("missing key 'map'")
-    try:
-        if kind == "skewed_doubling":
-            if "a" not in raw:
-                raise ConfigError("skewed_doubling needs key 'a'")
-            imap = make_skewed_doubling(float(raw["a"]))
-        elif kind == "blaschke":
-            if "mu" not in raw:
-                raise ConfigError("blaschke needs key 'mu'")
-            imap = make_blaschke(float(raw["mu"]))
-        else:
-            raise ConfigError(f"unknown map kind {raw['map']!r}")
+        imap = make(cfg[param])
+        return replace(imap, expansion_params=(cfg["r"], cfg["R_disk"])) if "r" in cfg else imap
     except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    r = config_float(raw, "r")
-    big_r = config_float(raw, "R_disk", config_float(raw, "R"))
-    if r is not None and big_r is not None:
-        imap = replace(imap, expansion_params=(r, big_r))
-    return imap
+        raise ConfigError(f"key {param!r}, 'r' or 'R_disk': {exc}") from exc
 
 
-_SCHEDULE_RE = re.compile(r"^(corollary1|quadratic)\(([^)]+)\)$")
+def sweep_config(cfg: dict[str, object]) -> SweepConfig:
+    """Build a SweepConfig from the typed values of parse_config."""
+    if (cfg.get("node_rule") == "offset") != ("delta" in cfg):
+        raise ConfigError("key 'delta' is read with node_rule = offset, and only then")
+    return SweepConfig(
+        imap=map_from_config(cfg),
+        basis_kind=cfg.get("basis", MONOMIALS),
+        n_values=cfg.get("N", ()),
+        m_values=cfg.get("M", ()),
+        schedule=cfg.get("schedule"),
+        delta=cfg.get("delta"),
+        eps_pinv=cfg.get("eps_pinv", DEFAULT_EPS_PINV),
+        quad_order=cfg.get("quad_order", DEFAULT_QUAD_ORDER),
+        eigen_indices=cfg.get("eigen_indices", (0,)),
+        out_path=cfg.get("out"),
+    )
 
 
 def sweep_config_from_text(text: str) -> SweepConfig:
     """Build a SweepConfig from the plain-text experiment format."""
-    raw = parse_config(text)
-    imap = map_from_config(raw)
-    basis_kind = raw.get("basis", MONOMIALS)
-    if "N" not in raw:
-        raise ConfigError("missing key 'N'")
-    n_values = config_int_list(raw["N"], "N")
-
-    m_values: tuple[int | None, ...] = ()
-    schedule = None
-    if "schedule" in raw:
-        found = _SCHEDULE_RE.match(raw["schedule"].replace(" ", ""))
-        if not found:
-            raise ConfigError(f"bad schedule {raw['schedule']!r}; "
-                              "expected corollary1(R) or quadratic(c)")
-        schedule = (found.group(1), float(found.group(2)))
-    elif "M" in raw:
-        parts = [part.strip() for part in raw["M"].split(",")]
-        try:
-            m_values = tuple(None if part == "inf" else int(part) for part in parts)
-        except ValueError as exc:
-            raise ConfigError(f"key 'M': expected ints or 'inf': {raw['M']!r}") from exc
-    else:
-        raise ConfigError("missing key 'M' (or 'schedule')")
-
-    node_rule = raw.get("node_rule", "midpoint")
-    if node_rule == "midpoint":
-        delta = None
-    elif node_rule == "offset":
-        delta = config_float(raw, "delta")
-        if delta is None:
-            raise ConfigError("node_rule = offset needs key 'delta'")
-    else:
-        raise ConfigError(f"unknown node_rule {node_rule!r}")
-
-    if raw.get("eigen_indices", "").strip() == "all":
-        eigen_indices = None
-    elif "eigen_indices" in raw:
-        eigen_indices = config_int_list(raw["eigen_indices"], "eigen_indices")
-    else:
-        eigen_indices = (0,)
-
-    try:
-        return SweepConfig(
-            imap=imap,
-            basis_kind=basis_kind,
-            n_values=n_values,
-            m_values=m_values,
-            schedule=schedule,
-            delta=delta,
-            eps_pinv=config_float(raw, "eps_pinv", DEFAULT_EPS_PINV),
-            quad_order=int(config_float(raw, "quad_order", DEFAULT_QUAD_ORDER)),
-            eigen_indices=eigen_indices,
-            out_path=raw.get("out"),
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    return sweep_config(parse_config(text))
 
 
 def sweep_config_from_file(path: str | Path) -> SweepConfig:

@@ -17,13 +17,11 @@ from pathlib import Path
 
 from .bench import (
     FIGURE_NAMES,
-    config_float,
-    config_int_list,
     figure_recipe,
     fourier_radius_study,
     parse_config,
-    map_from_config,
     run_sweep,
+    sweep_config,
     sweep_config_from_file,
     write_radius_records,
 )
@@ -41,18 +39,15 @@ from .transfer import (
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "eps", None) is not None:
-        config = replace(config, eps_pinv=args.eps)
-    if getattr(args, "quad_order", None) is not None:
-        config = replace(config, quad_order=args.quad_order)
-    return config
+    flags = {"eps_pinv": args.eps, "quad_order": args.quad_order,
+             "out_path": getattr(args, "out", None)}
+    return replace(config, **{field: value for field, value in flags.items() if value is not None})
 
 
 def _cmd_spectrum(args) -> int:
-    raw = parse_config(Path(args.config).read_text())
-    config = _apply_overrides(sweep_config_from_file(args.config), args)
-    n = config.n_values[0]
-    m = config.m_values[0] if config.m_values else config.cells()[0][1]
+    cfg = parse_config(Path(args.config).read_text())
+    config = _apply_overrides(sweep_config(cfg), args)
+    n, m = config.cells()[0]
     config = replace(
         config, n_values=(n,), m_values=(m,), schedule=None, eigen_indices=None, out_path=None
     )
@@ -69,30 +64,28 @@ def _cmd_spectrum(args) -> int:
             f"{rec.index:>3} {rec.approx.real:>22.15e} {rec.approx.imag:>22.15e} "
             f"{rec.exact.real:>22.15e} {rec.delta:>12.3e}"
         )
-    if "L_method" in raw:
-        _print_transfer_spectrum(raw, config.imap, n)
+    if "L_method" in cfg:
+        _print_transfer_spectrum(cfg, config.imap, n)
     return 0
 
 
-def _print_transfer_spectrum(raw, imap, n) -> None:
+def _print_transfer_spectrum(cfg, imap, n) -> None:
     """Companion table: eigenvalues of the truncated transfer matrix."""
-    method = raw["L_method"]
-    rho = config_float(raw, "rho", 1.0)
+    method = cfg["L_method"]
+    rho = cfg.get("rho", 1.0)
     affine = all(branch.affine is not None for branch in imap.branches)
     if method == "auto":
         method = "affine" if affine else "cauchy"
     if method == "affine":
         tm = transfer_matrix_affine(imap, n, rho=rho)
-    elif method == "cauchy":
+    else:
         tm = transfer_matrix_analytic(
             imap,
             n,
             rho=rho,
-            sample_radius=config_float(raw, "sample_radius", 1.1),
-            samples=int(config_float(raw, "samples", 4096)),
+            sample_radius=cfg.get("sample_radius", 1.1),
+            samples=cfg.get("samples", 4096),
         )
-    else:
-        raise ConfigError(f"unknown L_method {raw['L_method']!r}; use auto, affine or cauchy")
     values = eigenvalues(tm.l).values
     print(f"transfer matrix L_N spectrum ({tm.method}, rho={tm.rho}):")
     for i, value in enumerate(values):
@@ -101,7 +94,6 @@ def _print_transfer_spectrum(raw, imap, n) -> None:
 
 def _cmd_sweep(args) -> int:
     config = _apply_overrides(sweep_config_from_file(args.config), args)
-    config = replace(config, out_path=args.out)
     records = run_sweep(config, threads=args.threads)
     failed = sum(1 for rec in records if rec.status != "ok")
     print(f"wrote {len(records)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
@@ -115,8 +107,7 @@ def _cmd_figure(args) -> int:
         write_radius_records(fourier_radius_study(a_values, n_values), args.out)
         print(f"wrote radius study ({args.name}) to {args.out}")
         return 0
-    config = _apply_overrides(recipe[1], args)
-    records = run_sweep(replace(config, out_path=args.out), threads=args.threads)
+    records = run_sweep(_apply_overrides(recipe[1], args), threads=args.threads)
     failed = sum(1 for rec in records if rec.status != "ok")
     print(f"wrote {len(records)} rows ({args.name}) to {args.out}"
           + (f" ({failed} failed)" if failed else ""))
@@ -124,14 +115,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    raw = parse_config(Path(args.config).read_text())
-    imap = map_from_config(raw)
-    n_values = config_int_list(raw.get("N", "10"), "N")
-    m_values = [
-        m for m in (None if p.strip() == "inf" else p for p in raw.get("M", "1000").split(","))
-        if m is not None
-    ]
-    m_values = config_int_list(",".join(m_values), "M") if m_values else ()
+    cfg = parse_config(Path(args.config).read_text())
+    defaults = {"N": (10,)} if "schedule" in cfg else {"N": (10,), "M": (1000,)}
+    config = sweep_config(defaults | cfg)
+    imap, n_values = config.imap, config.n_values
+    if imap.expansion_params is not None:
+        r, big_r = imap.expansion_params
+        rho = cfg.get("rho", math.sqrt(r * big_r))
+        if not r < rho < big_r:
+            raise ConfigError(f"key 'rho': {rho} outside (r, R_disk) = ({r}, {big_r})")
     d = imap.n_branches
     g_factor = max(imap.deriv_sup, 2.0 * (d - 1))
 
@@ -139,8 +131,6 @@ def _cmd_bounds(args) -> int:
           f"||T'|| = {imap.deriv_sup:.6g}")
 
     if imap.expansion_params is not None:
-        r, big_r = imap.expansion_params
-        rho = config_float(raw, "rho", math.sqrt(r * big_r))
         sup = derivative_sum_estimate(imap, big_r)
         flag = schedule_regime(r, big_r)
         print(f"expansion params (uncertified): r = {r}, R = {big_r}; "
@@ -157,16 +147,17 @@ def _cmd_bounds(args) -> int:
         print("no (r, R) expansion parameters in config; projection bound skipped")
 
     print("collocation bounds (monomials) vs measured spectral norms:")
-    for n in n_values:
+    for n, m in config.cells():
+        if m is None:
+            continue
         h_exact = gram_infinite(monomial_basis(n))
-        for m in m_values:
-            pair = build_finite(imap, monomial_basis(n), nodes_equidistant(m))
-            dh = spectral_norm(h_exact - pair.h)
-            bound_h = 1.5 * n * n / m
-            print(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"
-                  f"  schur(H^(M)) = {schur_bound(pair.h):.4f} >= "
-                  f"||H^(M)||_2 = {spectral_norm(pair.h):.4f}"
-                  f"  G-bound = {1.5 * g_factor * n * n / m:.3e}")
+        pair = build_finite(imap, monomial_basis(n), nodes_equidistant(m))
+        dh = spectral_norm(h_exact - pair.h)
+        bound_h = 1.5 * n * n / m
+        print(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"
+              f"  schur(H^(M)) = {schur_bound(pair.h):.4f} >= "
+              f"||H^(M)||_2 = {spectral_norm(pair.h):.4f}"
+              f"  G-bound = {1.5 * g_factor * n * n / m:.3e}")
 
     print("pseudoinverse growth diagnostic (never asserted):")
     ref = 2.0 * math.log(1.0 + math.sqrt(2.0))

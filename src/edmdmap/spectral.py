@@ -9,7 +9,7 @@ arithmetic and sorted by descending modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class Spectrum:
 
     values: np.ndarray
     truncated_rank: int = 0
-    residual_norms: np.ndarray | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -272,8 +271,8 @@ def pseudoinverse(
     nonsingular h.  ``return_rank`` additionally reports how many singular
     values were truncated.
     """
-    if eps < 0:
-        raise ParameterError("eps must be nonnegative")
+    if not eps >= 0:
+        raise ParameterError(f"eps must be nonnegative, got {eps}")
     h = np.asarray(h)
     if not np.all(np.isfinite(h)):
         raise ParameterError("matrix has non-finite entries")

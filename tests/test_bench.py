@@ -270,7 +270,7 @@ class TestConfigParsing:
         a = 0.5   # trailing comment
         N = 3,4,5
         """)
-        assert raw == {"map": "skewed_doubling", "a": "0.5", "N": "3,4,5"}
+        assert raw == {"map": "skewed_doubling", "a": 0.5, "N": (3, 4, 5)}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -320,10 +320,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             map_from_config({"map": "blaschke"})
         with pytest.raises(ConfigError):
-            map_from_config({"map": "blaschke", "mu": "0.9"})
+            map_from_config({"map": "blaschke", "mu": 0.9})
 
     def test_expansion_params_from_config(self):
-        imap = map_from_config({"map": "skewed_doubling", "a": "0.2", "r": "2.5", "R_disk": "4.0"})
+        imap = map_from_config({"map": "skewed_doubling", "a": 0.2, "r": 2.5, "R_disk": 4.0})
         assert imap.expansion_params == (2.5, 4.0)
 
 

@@ -1,9 +1,12 @@
 """CLI subcommands and exit codes."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from edmdmap.bench import read_records
+from edmdmap.bench import CONFIG_KEYS, parse_config, read_records
 from edmdmap.cli import main
 
 SKEW = repr(float(1.0 / np.sqrt(2.0)))
@@ -69,6 +72,62 @@ def test_bad_config_exit_one(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("map = unknown_map\nN = 3\nM = 10\n")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param(BASE + "eigen_indice = 0\n", "eigen_indice", id="misspelt-key"),
+        pytest.param(BASE + "r = 1.05\nR = 1.4\n", "R", id="R-alias"),
+        pytest.param(BASE + "quad_order = 1.5\n", "quad_order", id="quad-order-float"),
+        pytest.param(BASE + "eigen_indices = -1\n", "eigen_indices", id="negative-index"),
+        pytest.param(BASE + "eps_pinv = nan\n", "eps_pinv", id="eps-nan"),
+        pytest.param(BASE.replace("N = 3", "N = 0") + "eigen_indices = all\n", "N",
+                     id="N-zero"),
+        pytest.param(BASE.replace("M = 10", "M = 0"), "M", id="M-zero"),
+        pytest.param(BASE.replace("N = 3", "N = 4") + "basis = fourier\n", "N",
+                     id="fourier-even-N"),
+        pytest.param(BASE.replace("M = 10", "schedule = corollary1(0.5)"), "schedule",
+                     id="schedule-rate"),
+        pytest.param(BASE + "node_rule = offset\ndelta = 0.25\n", "delta",
+                     id="delta-above-2-over-M"),
+        pytest.param(BASE + "mu = 0.3\n", "mu", id="mu-on-skewed-doubling"),
+        pytest.param(BASE + "samples = 4096.7\n", "samples", id="samples-float"),
+        pytest.param(BASE + "r = 1.05\n", "r", id="r-without-R_disk"),
+    ],
+)
+def test_bad_config_rejected_at_parse_time(tmp_path, capsys, text, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out_csv = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out_csv)]) == 1
+    assert not out_csv.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and repr(key) in err
+
+
+def test_readme_config_block_matches_key_table(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Configuration format", 1)[1].split("```")[1]
+    assert set(parse_config(block)) <= set(CONFIG_KEYS)
+    for key in CONFIG_KEYS:  # keys without a sample value appear in its comments
+        assert re.search(rf"\b{key} = ", block), key
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    assert main(["bounds", "--config", str(path)]) == 0
+
+
+def test_bounds_rho_outside_disk_exit_one(tmp_path, capsys):
+    path = tmp_path / "rho.cfg"
+    path.write_text(
+        f"map = skewed_doubling\na = {SKEW}\nN = 5\nr = 2.71\nR_disk = 3.0\nrho = 3.5\n"
+    )
+    assert main(["bounds", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'rho'" in captured.err
 
 
 def test_numerical_failure_exit_two(tmp_path, capsys):

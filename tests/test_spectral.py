@@ -126,8 +126,9 @@ class TestPseudoinverse:
         assert spectral_norm(pseudoinverse(h, 0.0) @ h - np.eye(6)) < 1e-8
 
     def test_eps_validation(self):
-        with pytest.raises(ParameterError):
-            pseudoinverse(np.eye(2), -1.0)
+        for eps in (-1.0, np.nan):
+            with pytest.raises(ParameterError):
+                pseudoinverse(np.eye(2), eps)
 
 
 class TestNormsAndBounds:
