@@ -13,7 +13,6 @@ import math
 import re
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -141,7 +140,6 @@ class SweepConfig:
     eps_pinv: float = DEFAULT_EPS_PINV
     quad_order: int = DEFAULT_QUAD_ORDER
     eigen_indices: tuple[int, ...] | None = (0,)  # None means all per cell
-    out_path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.n_values or min(self.n_values) < 1:
@@ -199,55 +197,27 @@ def _run_cell(config: SweepConfig, n: int, m: int | None) -> list[SweepRecord]:
         k_max = max(indices) + 1
         exact = exact_spectrum_values(config.imap, k_max)
         match = match_spectra(spec, exact, k_max)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        return [
-            SweepRecord(
-                n_observables=n,
-                m_nodes=m,
-                index=i,
-                approx=complex(match.matched[i]),
-                exact=complex(exact[i]),
-                delta=float(match.delta[i]),
-                delta_rank_paired=float(match.delta_rank[i]),
-                eps_rank=spec.truncated_rank,
-                wall_ms=wall_ms,
-                status="ok",
-            )
+        # (approx, exact, delta, delta_rank_paired) per requested index
+        values = [
+            (complex(match.matched[i]), complex(exact[i]), float(match.delta[i]),
+             float(match.delta_rank[i]))
             for i in indices
         ]
+        eps_rank, status = spec.truncated_rank, "ok"
     except EdmdMapError as exc:
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        message = re.sub(r"[,\n]", ";", f"{type(exc).__name__}: {exc}")
-        return [
-            SweepRecord(
-                n_observables=n,
-                m_nodes=m,
-                index=i,
-                approx=0j,
-                exact=0j,
-                delta=0.0,
-                delta_rank_paired=0.0,
-                eps_rank=0,
-                wall_ms=wall_ms,
-                status=message,
-            )
-            for i in indices
-        ]
+        values = [(0j, 0j, 0.0, 0.0)] * len(indices)
+        eps_rank, status = 0, re.sub(r"[,\n]", ";", f"{type(exc).__name__}: {exc}")
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    return [
+        SweepRecord(n, m, i, *row, eps_rank=eps_rank, wall_ms=wall_ms, status=status)
+        for i, row in zip(indices, values)
+    ]
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRecord]:
-    """Evaluate the whole grid; rows come back in deterministic grid order
-    regardless of worker count.  Writes the CSV when the config names one."""
-    cells = config.cells()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda c: _run_cell(config, *c), cells))
-    else:
-        chunks = [_run_cell(config, *cell) for cell in cells]
-    records = [record for chunk in chunks for record in chunk]
-    if config.out_path:
-        write_records(records, config.out_path)
-    return records
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+    """Evaluate the whole grid, one cell after another; rows come back in
+    grid order."""
+    return [record for n, m in config.cells() for record in _run_cell(config, n, m)]
 
 
 class FitResult(NamedTuple):
@@ -353,7 +323,6 @@ CONFIG_KEYS = {
     "quad_order": int,
     "eps_pinv": float,
     "eigen_indices": lambda text: None if text == "all" else _int_list(text),
-    "out": str,
     "r": float,
     "R_disk": float,
     "L_method": _one_of("auto", "affine", "cauchy"),
@@ -422,7 +391,6 @@ def sweep_config(cfg: dict[str, object]) -> SweepConfig:
         eps_pinv=cfg.get("eps_pinv", DEFAULT_EPS_PINV),
         quad_order=cfg.get("quad_order", DEFAULT_QUAD_ORDER),
         eigen_indices=cfg.get("eigen_indices", (0,)),
-        out_path=cfg.get("out"),
     )
 
 

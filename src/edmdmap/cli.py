@@ -24,12 +24,15 @@ from .bench import (
     sweep_config,
     sweep_config_from_file,
     write_radius_records,
+    write_records,
 )
 from .edmd import build_finite, nodes_equidistant
-from .errors import ConfigError, EdmdMapError
-from .observables import gram_infinite, monomial_basis
+from .errors import ConfigError, EdmdMapError, NonAffineBranchError, ParameterError
+from .observables import MONOMIALS, gram_infinite, monomial_basis
 from .spectral import GAMMA, eigenvalues, pseudoinverse, schur_bound, spectral_norm
 from .transfer import (
+    DEFAULT_SAMPLE_RADIUS,
+    DEFAULT_SAMPLES,
     derivative_sum_estimate,
     projection_error_bound,
     schedule_regime,
@@ -38,19 +41,12 @@ from .transfer import (
 )
 
 
-def _apply_overrides(config, args):
-    flags = {"eps_pinv": args.eps, "quad_order": args.quad_order,
-             "out_path": getattr(args, "out", None)}
-    return replace(config, **{field: value for field, value in flags.items() if value is not None})
-
-
 def _cmd_spectrum(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
-    config = _apply_overrides(sweep_config(cfg), args)
+    config = sweep_config(cfg)
     n, m = config.cells()[0]
-    config = replace(
-        config, n_values=(n,), m_values=(m,), schedule=None, eigen_indices=None, out_path=None
-    )
+    config = replace(config, n_values=(n,), m_values=(m,), schedule=None, eigen_indices=None)
+    tm = _transfer_matrix(cfg, config.imap, n) if "L_method" in cfg else None
     records = run_sweep(config)
     failed = [rec for rec in records if rec.status != "ok"]
     if failed:
@@ -64,37 +60,40 @@ def _cmd_spectrum(args) -> int:
             f"{rec.index:>3} {rec.approx.real:>22.15e} {rec.approx.imag:>22.15e} "
             f"{rec.exact.real:>22.15e} {rec.delta:>12.3e}"
         )
-    if "L_method" in cfg:
-        _print_transfer_spectrum(cfg, config.imap, n)
+    if tm is not None:
+        print(f"transfer matrix L_N spectrum ({tm.method}, rho={tm.rho}):")
+        for i, value in enumerate(eigenvalues(tm.l).values):
+            print(f"{i:>3} {value.real:>22.15e} {value.imag:>22.15e}")
     return 0
 
 
-def _print_transfer_spectrum(cfg, imap, n) -> None:
-    """Companion table: eigenvalues of the truncated transfer matrix."""
+def _transfer_matrix(cfg, imap, n):
+    """The truncated transfer matrix of the companion table; bad companion
+    keys are configuration errors, found before anything is printed."""
     method = cfg["L_method"]
     rho = cfg.get("rho", 1.0)
     affine = all(branch.affine is not None for branch in imap.branches)
     if method == "auto":
         method = "affine" if affine else "cauchy"
-    if method == "affine":
-        tm = transfer_matrix_affine(imap, n, rho=rho)
-    else:
-        tm = transfer_matrix_analytic(
+    try:
+        if method == "affine":
+            return transfer_matrix_affine(imap, n, rho=rho)
+        return transfer_matrix_analytic(
             imap,
             n,
             rho=rho,
-            sample_radius=cfg.get("sample_radius", 1.1),
-            samples=cfg.get("samples", 4096),
+            sample_radius=cfg.get("sample_radius", DEFAULT_SAMPLE_RADIUS),
+            samples=cfg.get("samples", DEFAULT_SAMPLES),
         )
-    values = eigenvalues(tm.l).values
-    print(f"transfer matrix L_N spectrum ({tm.method}, rho={tm.rho}):")
-    for i, value in enumerate(values):
-        print(f"{i:>3} {value.real:>22.15e} {value.imag:>22.15e}")
+    except NonAffineBranchError as exc:
+        raise ConfigError(f"key 'L_method': affine needs affine inverse branches: {exc}") from exc
+    except ParameterError as exc:
+        raise ConfigError(f"key 'rho', 'sample_radius' or 'samples': {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
-    config = _apply_overrides(sweep_config_from_file(args.config), args)
-    records = run_sweep(config, threads=args.threads)
+    records = run_sweep(sweep_config_from_file(args.config))
+    write_records(records, args.out)
     failed = sum(1 for rec in records if rec.status != "ok")
     print(f"wrote {len(records)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
     return 3 if failed else 0
@@ -107,7 +106,8 @@ def _cmd_figure(args) -> int:
         write_radius_records(fourier_radius_study(a_values, n_values), args.out)
         print(f"wrote radius study ({args.name}) to {args.out}")
         return 0
-    records = run_sweep(_apply_overrides(recipe[1], args), threads=args.threads)
+    records = run_sweep(recipe[1])
+    write_records(records, args.out)
     failed = sum(1 for rec in records if rec.status != "ok")
     print(f"wrote {len(records)} rows ({args.name}) to {args.out}"
           + (f" ({failed} failed)" if failed else ""))
@@ -119,11 +119,15 @@ def _cmd_bounds(args) -> int:
     defaults = {"N": (10,)} if "schedule" in cfg else {"N": (10,), "M": (1000,)}
     config = sweep_config(defaults | cfg)
     imap, n_values = config.imap, config.n_values
+    if config.basis_kind != MONOMIALS:
+        raise ConfigError(f"key 'basis': bounds reports on {MONOMIALS} only")
     if imap.expansion_params is not None:
         r, big_r = imap.expansion_params
         rho = cfg.get("rho", math.sqrt(r * big_r))
         if not r < rho < big_r:
             raise ConfigError(f"key 'rho': {rho} outside (r, R_disk) = ({r}, {big_r})")
+    elif "rho" in cfg:
+        raise ConfigError("key 'rho' is read by bounds only with 'r' and 'R_disk'")
     d = imap.n_branches
     g_factor = max(imap.deriv_sup, 2.0 * (d - 1))
 
@@ -151,7 +155,7 @@ def _cmd_bounds(args) -> int:
         if m is None:
             continue
         h_exact = gram_infinite(monomial_basis(n))
-        pair = build_finite(imap, monomial_basis(n), nodes_equidistant(m))
+        pair = build_finite(imap, monomial_basis(n), nodes_equidistant(m, config.delta))
         dh = spectral_norm(h_exact - pair.h)
         bound_h = 1.5 * n * n / m
         print(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"
@@ -176,26 +180,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_threads=True):
-        p.add_argument("--eps", type=float, default=None, help="pseudoinverse threshold override")
-        p.add_argument("--quad-order", dest="quad_order", type=int, default=None,
-                       help="Gauss-Legendre order override")
-        if needs_threads:
-            p.add_argument("--threads", type=int, default=1, help="worker threads (speed only)")
-
     p_spec = sub.add_parser("spectrum", help="print one EDMD spectrum with exact values")
     p_spec.add_argument("--config", required=True)
-    add_common(p_spec, needs_threads=False)
 
     p_sweep = sub.add_parser("sweep", help="run a (N, M) grid and write CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", required=True)
-    add_common(p_sweep)
 
     p_fig = sub.add_parser("figure", help="write one of the bundled reference data sets")
     p_fig.add_argument("--name", required=True, choices=FIGURE_NAMES)
     p_fig.add_argument("--out", required=True)
-    add_common(p_fig)
 
     p_bounds = sub.add_parser("bounds", help="print bound values next to measurements")
     p_bounds.add_argument("--config", required=True)

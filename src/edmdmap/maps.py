@@ -103,11 +103,6 @@ class IntervalMap:
     def n_branches(self) -> int:
         return len(self.branches)
 
-    def branch_index(self, x: np.ndarray | float) -> np.ndarray | int:
-        """Index of the branch containing x, ties resolved to the left branch."""
-        idx = np.searchsorted(self._criticals, np.asarray(x, dtype=float), side="left")
-        return int(idx) if np.ndim(x) == 0 else idx
-
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         """Forward evaluation T(x) for x in [-1, 1], scalar or array.
 

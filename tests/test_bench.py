@@ -1,5 +1,7 @@
 """Harness: matching, sweeps, CSV round-trip, fits, config parsing."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from edmdmap.bench import (
     sweep_config_from_text,
     write_records,
 )
-from edmdmap.errors import ConfigError, InsufficientDataError, ParameterError
+from edmdmap.errors import ConfigError, InsufficientDataError, ParameterError, RankTruncationWarning
 from edmdmap.maps import make_blaschke, make_skewed_doubling
 from edmdmap.observables import MONOMIALS
 
@@ -75,9 +77,9 @@ class TestRunSweep:
             n_values=(4, 5),
             m_values=(200, None),
             eigen_indices=(0, 1),
-            out_path=str(tmp_path / "sweep.csv"),
         )
         records = run_sweep(config)
+        write_records(records, tmp_path / "sweep.csv")
         assert read_records(tmp_path / "sweep.csv") == records
 
     def test_csv_bytes_deterministic(self, tmp_path):
@@ -100,9 +102,8 @@ class TestRunSweep:
             basis_kind=MONOMIALS,
             n_values=(3,),
             m_values=(None,),
-            out_path=str(tmp_path / "inf.csv"),
         )
-        run_sweep(config)
+        write_records(run_sweep(config), tmp_path / "inf.csv")
         body = (tmp_path / "inf.csv").read_text().splitlines()
         assert body[1].split(",")[1] == "inf"
 
@@ -122,19 +123,21 @@ class TestRunSweep:
         assert by_m[None].status.startswith("QuadratureError")
         assert "," not in by_m[None].status
 
-    def test_worker_count_does_not_change_results(self):
+    def test_rank_truncation_warning_stays_inside_cell(self):
+        # N = 18 is the first fig2.2 size whose Gram matrix the eps-pseudoinverse truncates
         config = SweepConfig(
-            imap=make_blaschke(0.2),
+            imap=make_blaschke(0.3),
             basis_kind=MONOMIALS,
-            n_values=(4, 6),
-            m_values=(50, 100, None),
-            eigen_indices=(0, 1),
+            n_values=(18,),
+            m_values=(None,),
         )
-        serial = run_sweep(config, threads=1)
-        parallel = run_sweep(config, threads=4)
-        for a, b in zip(serial, parallel):
-            assert (a.n_observables, a.m_nodes, a.index) == (b.n_observables, b.m_nodes, b.index)
-            assert a.approx == b.approx and a.delta == b.delta
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            records = run_sweep(config)
+            assert warnings.filters == filters
+        assert records[0].eps_rank == 1
+        assert not [w for w in caught if issubclass(w.category, RankTruncationWarning)]
 
     def test_schedule_driven_sweep_end_to_end(self):
         config = SweepConfig(
@@ -157,11 +160,10 @@ class TestRunSweep:
             n_values=(5,),
             m_values=(300,),
             eigen_indices=(0, 1, 2),
-            out_path=str(tmp_path / "d.csv"),
         )
-        for rec in run_sweep(config):
+        write_records(run_sweep(config), tmp_path / "d.csv")
+        for rec in read_records(tmp_path / "d.csv"):
             assert rec.delta == abs(rec.approx - rec.exact)
-        assert (tmp_path / "d.csv").exists()
 
     def test_schedule_rule_cells(self):
         config = SweepConfig(

@@ -31,7 +31,7 @@ def test_spectrum_exit_zero(skewed_cfg, capsys):
 
 def test_sweep_writes_csv(skewed_cfg, tmp_path, capsys):
     out_csv = str(tmp_path / "out.csv")
-    assert main(["sweep", "--config", skewed_cfg, "--out", out_csv, "--threads", "2"]) == 0
+    assert main(["sweep", "--config", skewed_cfg, "--out", out_csv]) == 0
     records = read_records(out_csv)
     assert len(records) == 3
     assert all(rec.status == "ok" for rec in records)
@@ -97,6 +97,7 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
         pytest.param(BASE + "mu = 0.3\n", "mu", id="mu-on-skewed-doubling"),
         pytest.param(BASE + "samples = 4096.7\n", "samples", id="samples-float"),
         pytest.param(BASE + "r = 1.05\n", "r", id="r-without-R_disk"),
+        pytest.param(BASE + "out = x.csv\n", "out", id="out-key"),
     ],
 )
 def test_bad_config_rejected_at_parse_time(tmp_path, capsys, text, key):
@@ -130,6 +131,37 @@ def test_bounds_rho_outside_disk_exit_one(tmp_path, capsys):
     assert captured.out == "" and "'rho'" in captured.err
 
 
+def test_bounds_measures_on_configured_nodes(tmp_path, capsys):
+    base = f"map = skewed_doubling\na = {SKEW}\nN = 5,8\nM = 200\n"
+    reports = []
+    for text in (base, base + "node_rule = offset\ndelta = 0.0\n"):
+        path = tmp_path / "bounds.cfg"
+        path.write_text(text)
+        assert main(["bounds", "--config", str(path)]) == 0
+        reports.append([line for line in capsys.readouterr().out.splitlines()
+                        if "||H-H^(M)||" in line])
+    midpoint, offset = reports
+    assert len(midpoint) == len(offset) == 2
+    assert all(a != b for a, b in zip(midpoint, offset))
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nbasis = fourier\n", "basis",
+                     id="basis-fourier"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nrho = 1.2\n", "rho",
+                     id="rho-without-r"),
+    ],
+)
+def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
+    path = tmp_path / "bounds.cfg"
+    path.write_text(text)
+    assert main(["bounds", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(key) in captured.err
+
+
 def test_numerical_failure_exit_two(tmp_path, capsys):
     path = tmp_path / "blaschke.cfg"
     path.write_text("map = blaschke\nmu = 0.3\nN = 10\nM = inf\nquad_order = 2\n")
@@ -148,12 +180,6 @@ def test_partial_sweep_exit_three(tmp_path):
     assert statuses[None].startswith("QuadratureError")
 
 
-def test_quad_order_override(tmp_path):
-    path = tmp_path / "b.cfg"
-    path.write_text("map = blaschke\nmu = 0.3\nN = 8\nM = inf\nquad_order = 2\n")
-    assert main(["spectrum", "--config", str(path), "--quad-order", "64"]) == 0
-
-
 def test_spectrum_with_transfer_companion(tmp_path, capsys):
     path = tmp_path / "lm.cfg"
     path.write_text(
@@ -169,3 +195,35 @@ def test_bad_transfer_method_exit_one(tmp_path):
     path = tmp_path / "lm.cfg"
     path.write_text(f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\nL_method = qr\n")
     assert main(["spectrum", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nrho = -1\n",
+                     "rho", id="cauchy-rho-negative"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nsamples = 16\n",
+                     "samples", id="cauchy-samples-below-4N"),
+        pytest.param("map = blaschke\nmu = 0.3\nL_method = affine\n", "L_method",
+                     id="affine-on-blaschke"),
+    ],
+)
+def test_bad_transfer_keys_exit_one_before_output(tmp_path, capsys, text, key):
+    path = tmp_path / "lm.cfg"
+    path.write_text("N = 6\nM = inf\n" + text)
+    assert main(["spectrum", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and repr(key) in captured.err
+
+
+def test_readme_cli_lines_match_help(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = {line.split()[1]: line for line in block.splitlines() if line.startswith("edmdmap ")}
+    assert set(lines) == {"spectrum", "sweep", "figure", "bounds"}
+    for command, line in lines.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", line)) == help_flags, command
