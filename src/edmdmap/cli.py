@@ -44,6 +44,8 @@ from .transfer import (
 def _cmd_spectrum(args) -> int:
     cfg = parse_config(Path(args.config).read_text())
     config = sweep_config(cfg)
+    if len(config.cells()) > 1:
+        raise ConfigError("keys 'N' and 'M': spectrum runs one (N, M) cell; use sweep for a grid")
     n, m = config.cells()[0]
     config = replace(config, n_values=(n,), m_values=(m,), schedule=None, eigen_indices=None)
     tm = _transfer_matrix(cfg, config.imap, n) if "L_method" in cfg else None

@@ -104,18 +104,12 @@ class EdmdPair:
         return self.h.shape[0]
 
 
-def _pairing(first: np.ndarray, second: np.ndarray, basis: ObservableBasis) -> np.ndarray:
-    if basis.kind == FOURIER:
-        second = second.conj()
-    return first @ second.T
-
-
 def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> EdmdPair:
     """Empirical pair: H, G as averages of observable products over the nodes."""
     psi_x = eval_basis(basis, nodes.nodes)
     psi_tx = eval_basis(basis, imap(nodes.nodes))
-    h = _pairing(psi_x, psi_x, basis) / nodes.m
-    g = _pairing(psi_tx, psi_x, basis) / nodes.m
+    h = psi_x @ psi_x.T / nodes.m
+    g = psi_tx @ psi_x.T / nodes.m
     return EdmdPair(
         h=h,
         g=g,
@@ -162,7 +156,7 @@ def cross_gram_quadrature(
     quad_order: int,
     dtype: type = float,
 ) -> np.ndarray:
-    """G[k, l] = (1/2) * integral of psi_k(T x) * c(psi_l(x)) over [-1, 1],
+    """G[k, l] = (1/2) * integral of psi_k(T x) * psi_l(x) over [-1, 1],
     as a sum of Gauss-Legendre rules on the branch intervals, where the
     integrand is analytic.  dtype=numpy.longdouble runs the rule in 80-bit
     arithmetic (monomial bases only)."""
@@ -173,17 +167,16 @@ def cross_gram_quadrature(
         if basis.kind == FOURIER:
             raise ParameterError("extended-precision quadrature supports monomials only")
         pts, wts = _leggauss_extended(quad_order)
-        g = np.zeros((size, size), dtype=np.longdouble)
     else:
         pts, wts = np.polynomial.legendre.leggauss(quad_order)
-        g = np.zeros((size, size), dtype=complex if basis.kind == FOURIER else float)
+    g = np.zeros((size, size), dtype=pts.dtype)
     for branch in imap.branches:
         lo, hi = branch.domain_lo, branch.domain_hi
         x = (hi + lo) / 2.0 + (hi - lo) / 2.0 * pts
         w = (hi - lo) / 2.0 * wts
         psi_x = eval_basis(basis, x)
         psi_tx = eval_basis(basis, np.asarray(imap(x)))
-        g += _pairing(psi_tx, w * psi_x, basis)
+        g += psi_tx @ (w * psi_x).T
     return g / 2.0
 
 

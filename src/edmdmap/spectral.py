@@ -74,9 +74,9 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 def eigenvalues(a: np.ndarray) -> Spectrum:
     """All eigenvalues of a dense square matrix, with multiplicity.
 
-    float32/float64 input goes through LAPACK; extended-precision input
-    (longdouble/clongdouble) is handled by the in-house QR iteration of
-    qr_eigenvalues, which LAPACK does not cover.
+    Real and complex double input goes to LAPACK as it is (real input keeps
+    conjugate pairs exact); extended-precision input is handled by the
+    in-house QR iteration of qr_eigenvalues, which LAPACK does not cover.
     """
     a = _as_square(a)
     if a.shape[0] > _MAX_DIM:
@@ -84,7 +84,7 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     if a.dtype in (np.longdouble, np.clongdouble):
         return Spectrum(values=sort_eigenvalues(qr_eigenvalues(a)))
     try:
-        vals = np.linalg.eigvals(a.astype(complex))
+        vals = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # QR sweep cap exhausted
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     return Spectrum(values=sort_eigenvalues(vals))

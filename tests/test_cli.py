@@ -29,6 +29,16 @@ def test_spectrum_exit_zero(skewed_cfg, capsys):
     assert len(out.strip().splitlines()) == 7  # two header lines + full N=5 spectrum
 
 
+def test_spectrum_multi_cell_grid_exit_one(tmp_path, capsys):
+    path = tmp_path / "grid.cfg"
+    path.write_text(f"map = skewed_doubling\na = {SKEW}\nN = 5,10\nM = 100,inf\n")
+    assert main(["spectrum", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert "'N'" in captured.err and "'M'" in captured.err
+
+
 def test_sweep_writes_csv(skewed_cfg, tmp_path, capsys):
     out_csv = str(tmp_path / "out.csv")
     assert main(["sweep", "--config", skewed_cfg, "--out", out_csv]) == 0

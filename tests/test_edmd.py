@@ -82,8 +82,12 @@ class TestBuildFinite:
             assert err <= 1.0 / m  # equidistant exponential sums cancel exactly
 
     def test_monomial_matrices_stay_real(self):
-        pair = build_finite(make_skewed_doubling(0.3), monomial_basis(4), nodes_equidistant(50))
-        assert pair.h.dtype.kind == "f" and pair.g.dtype.kind == "f"
+        # looped rather than parametrised so the test id stays stable
+        for basis in (monomial_basis(4), fourier_basis(5)):
+            for imap in (make_skewed_doubling(0.3), make_blaschke(0.2)):
+                for pair in (build_finite(imap, basis, nodes_equidistant(50)),
+                             build_infinite(imap, basis)):
+                    assert pair.h.dtype == np.float64 and pair.g.dtype == np.float64
 
     def test_provenance(self):
         pair = build_finite(make_skewed_doubling(0.3), monomial_basis(3), nodes_equidistant(8, 0.1))
@@ -116,7 +120,7 @@ class TestBuildInfinite:
     def test_fourier_skewed_uses_closed_form(self):
         pair = build_infinite(make_skewed_doubling(0.3), fourier_basis(7))
         assert pair.provenance.kind == "closed_form"
-        assert np.array_equal(pair.h, np.eye(7, dtype=complex))
+        assert pair.g.dtype == float and np.array_equal(pair.h, np.eye(7))
 
     def test_extended_copies_for_monomials(self):
         pair = build_infinite(make_skewed_doubling(0.3), monomial_basis(6))

@@ -48,6 +48,17 @@ class TestEigenvalues:
         values = sort_eigenvalues(np.array([0.5, -1.0, 1.0, 1j, -1j]))
         assert values == pytest.approx([1.0, 1j, -1j, -1.0, 0.5])
 
+    def test_real_matrix_exact_conjugate_pairs(self):
+        # real input goes to the real LAPACK solver: complex eigenvalues come
+        # in exact conjugate pairs, real ones carry no imaginary part
+        a = np.random.default_rng(17).standard_normal((15, 15))
+        values = eigenvalues(a).values
+        real = values.imag == 0.0
+        assert 0 < np.count_nonzero(real) < len(values)
+        pairs = values[~real]
+        assert np.array_equal(np.sort_complex(pairs), np.sort_complex(pairs.conj()))
+        assert multiset_distance(values, np.linalg.eigvals(a)) < 1e-12
+
     def test_shape_and_finite_validation(self):
         with pytest.raises(ParameterError):
             eigenvalues(np.ones((2, 3)))
