@@ -30,7 +30,7 @@ from .edmd import (
 )
 from .errors import ConfigError, EdmdMapError, InsufficientDataError, ParameterError, RankTruncationWarning
 from .maps import IntervalMap, exact_spectrum_values, make_blaschke, make_skewed_doubling
-from .observables import FOURIER, MONOMIALS, fourier_basis, fourier_cross_closed, monomial_basis
+from .observables import FOURIER, MONOMIALS, ObservableBasis, fourier_cross_closed
 from .spectral import Spectrum, eigenvalues
 
 __all__ = [
@@ -178,17 +178,13 @@ class SweepConfig:
         return [(n, m) for n in self.n_values for m in self.m_values]
 
 
-def _basis_for(kind: str, n: int):
-    return monomial_basis(n) if kind == MONOMIALS else fourier_basis(n)
-
-
 def _run_cell(config: SweepConfig, n: int, m: int | None) -> list[SweepRecord]:
     indices = config.eigen_indices if config.eigen_indices is not None else tuple(range(n))
     t0 = time.perf_counter()
     try:
-        basis = _basis_for(config.basis_kind, n)
+        basis = ObservableBasis(config.basis_kind, n)
         if m is None:
-            pair = build_infinite(config.imap, basis, n, config.quad_order)
+            pair = build_infinite(config.imap, basis, config.quad_order)
         else:
             pair = build_finite(config.imap, basis, nodes_equidistant(m, config.delta))
         with warnings.catch_warnings():

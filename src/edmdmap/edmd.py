@@ -152,7 +152,6 @@ def _leggauss_extended(q: int) -> tuple[np.ndarray, np.ndarray]:
 def cross_gram_quadrature(
     imap: IntervalMap,
     basis: ObservableBasis,
-    size: int,
     quad_order: int,
     dtype: type = float,
 ) -> np.ndarray:
@@ -162,14 +161,13 @@ def cross_gram_quadrature(
     arithmetic (monomial bases only)."""
     if quad_order < 1:
         raise ParameterError("quadrature order must be positive")
-    basis = basis.resized(size)
     if dtype is np.longdouble:
         if basis.kind == FOURIER:
             raise ParameterError("extended-precision quadrature supports monomials only")
         pts, wts = _leggauss_extended(quad_order)
     else:
         pts, wts = np.polynomial.legendre.leggauss(quad_order)
-    g = np.zeros((size, size), dtype=pts.dtype)
+    g = np.zeros((basis.size, basis.size), dtype=pts.dtype)
     for branch in imap.branches:
         lo, hi = branch.domain_lo, branch.domain_hi
         x = (hi + lo) / 2.0 + (hi - lo) / 2.0 * pts
@@ -183,27 +181,24 @@ def cross_gram_quadrature(
 def build_infinite(
     imap: IntervalMap,
     basis: ObservableBasis,
-    size: int | None = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> EdmdPair:
     """Infinite-node pair: closed-form H; G by quadrature with an automatic
     order-doubling stability pass, or by the Fourier/skewed-doubling closed
     form when available."""
-    n = basis.size if size is None else size
-    basis = basis.resized(n)
-    h = gram_infinite(basis, n)
+    h = gram_infinite(basis)
     h_ext = g_ext = None
     if basis.kind == FOURIER and imap.spectrum_kind == "skewed_doubling":
-        g = fourier_cross_closed(imap.spectrum_param, n)
+        g = fourier_cross_closed(imap.spectrum_param, basis.size)
         provenance = Provenance("closed_form")
     else:
-        coarse = cross_gram_quadrature(imap, basis, n, quad_order)
+        coarse = cross_gram_quadrature(imap, basis, quad_order)
         if basis.kind == MONOMIALS:
-            g_ext = cross_gram_quadrature(imap, basis, n, 2 * quad_order, dtype=np.longdouble)
-            h_ext = gram_infinite(basis, n, dtype=np.longdouble)
+            g_ext = cross_gram_quadrature(imap, basis, 2 * quad_order, dtype=np.longdouble)
+            h_ext = gram_infinite(basis, dtype=np.longdouble)
             g = g_ext.astype(float)
         else:
-            g = cross_gram_quadrature(imap, basis, n, 2 * quad_order)
+            g = cross_gram_quadrature(imap, basis, 2 * quad_order)
         drift = float(np.abs(g - coarse).max())
         if drift > 1e-10:
             raise QuadratureError(

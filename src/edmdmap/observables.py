@@ -8,7 +8,7 @@ its infinite-node Gram matrix is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,9 +41,6 @@ class ObservableBasis:
             raise ParameterError("basis size must be positive")
         if self.kind == FOURIER and self.size % 2 == 0:
             raise ParameterError("fourier basis size must be odd (N = 2K+1)")
-
-    def resized(self, size: int) -> "ObservableBasis":
-        return self if size == self.size else replace(self, size=size)
 
 
 def monomial_basis(size: int) -> ObservableBasis:
@@ -89,21 +86,18 @@ def eval_basis(basis: ObservableBasis, x: np.ndarray | float) -> np.ndarray:
     return out[:, 0] if np.ndim(x) == 0 else out
 
 
-def gram_infinite(
-    basis: ObservableBasis, size: int | None = None, dtype: type = float
-) -> np.ndarray:
+def gram_infinite(basis: ObservableBasis, dtype: type = float) -> np.ndarray:
     """Infinite-node Gram matrix H of the dictionary.
 
     Monomials: H[k, l] = 1/(k+l+1) for k+l even, 0 otherwise (normalized
     integral of x^(k+l) over [-1, 1]).  Fourier: exactly the identity.
     """
-    n = basis.size if size is None else size
     if basis.kind == MONOMIALS:
-        k = np.arange(n)
+        k = np.arange(basis.size)
         total = k[:, np.newaxis] + k[np.newaxis, :]
         one = np.asarray(1, dtype=dtype)
         return np.where(total % 2 == 0, one / (total + one), np.zeros_like(one))
-    return np.eye(n, dtype=dtype)
+    return np.eye(basis.size, dtype=dtype)
 
 
 def fourier_cross_closed(a: float, size: int) -> np.ndarray:

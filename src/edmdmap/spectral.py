@@ -1,10 +1,12 @@
 """Dense linear-algebra kernel for desk-scale spectral computations.
 
-Thin, contract-checked wrappers around LAPACK dense factorizations:
-eigenvalues via balancing + Hessenberg reduction + shifted QR (the *geev
-path, 30 sweeps per eigenvalue), singular values via Golub-Kahan
-bidiagonalization (*gesdd/*gesvd).  All spectra are reported in complex
-arithmetic and sorted by descending modulus.
+Double-precision input goes to LAPACK through numpy: eigenvalues by
+*geev, singular values (pseudoinverse, spectral norm) by *gesdd.
+Extended-precision (longdouble) input, which LAPACK does not cover, goes
+to the in-house qr_eigenvalues (balancing, Hessenberg reduction, shifted
+QR capped at 30 sweeps per eigenvalue) and to the Gaussian elimination of
+solve_gauss.  All spectra are reported in complex arithmetic and sorted
+by descending modulus.
 """
 
 from __future__ import annotations

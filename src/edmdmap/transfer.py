@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import AliasingError, NonAffineBranchError, ParameterError
 from .maps import IntervalMap, verify_branch_analyticity
+from .observables import _power_rows
 
 __all__ = [
     "TransferMatrix",
@@ -31,6 +32,9 @@ __all__ = [
 
 DEFAULT_SAMPLE_RADIUS = 1.1
 DEFAULT_SAMPLES = 4096
+
+_DERIV_SUM_POINTS = 720
+_DERIV_SUM_SAFETY = 1.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,21 +94,6 @@ def taylor_coefficients_on_circle(
     return coeffs * (scale[:, np.newaxis] if values_on_circle.ndim > 1 else scale)
 
 
-def _transfer_columns(
-    imap: IntervalMap, size: int, rho: float, sample_radius: float, samples: int
-) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(samples) / samples
-    circle = sample_radius * np.exp(1j * angles)
-    g = np.zeros((samples, size), dtype=complex)
-    powers = np.arange(size)
-    for branch in imap.branches:
-        phi = np.asarray(branch.inverse(circle))
-        weight = branch.sign * np.asarray(branch.inverse_derivative(circle))
-        g += weight[:, np.newaxis] * (phi[:, np.newaxis] / rho) ** powers
-    coeffs = taylor_coefficients_on_circle(g, size, sample_radius)
-    return coeffs * rho ** np.arange(size, dtype=float)[:, np.newaxis]
-
-
 def transfer_matrix_analytic(
     imap: IntervalMap,
     size: int,
@@ -127,8 +116,19 @@ def transfer_matrix_analytic(
     if samples & (samples - 1):
         raise ParameterError(f"sample count must be a power of two, got {samples}")
     verify_branch_analyticity(imap, sample_radius, samples=min(samples, 4096))
-    coarse = _transfer_columns(imap, size, rho, sample_radius, samples)
-    fine = _transfer_columns(imap, size, rho, sample_radius, 2 * samples)
+    # the even points of the 2*samples circle are the samples circle exactly
+    # (2*pi*(2j)/(2S) rounds like 2*pi*j/S), so one evaluation serves both
+    count = 2 * samples
+    circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+    powers = np.empty((size, count), dtype=complex)
+    g = np.zeros((size, count), dtype=complex)
+    for branch in imap.branches:
+        phi = np.asarray(branch.inverse(circle))
+        weight = branch.sign * np.asarray(branch.inverse_derivative(circle))
+        g += weight * _power_rows(phi / rho, powers)
+    # L[k, l] = rho^k [z^k] g_l(z) = [w^k] g_l(rho*w), sampled on |w| = sample_radius/rho
+    fine = taylor_coefficients_on_circle(g.T, size, sample_radius / rho)
+    coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius / rho)
     drift = float(np.abs(fine - coarse).max())
     if drift > 1e-10:
         raise AliasingError(
@@ -159,17 +159,15 @@ def projection_error_bound(
     return c * ((rho / big_r) ** size + (r / rho) ** size)
 
 
-def derivative_sum_estimate(
-    imap: IntervalMap, radius: float, n_points: int = 720, safety: float = 1.05
-) -> float:
+def derivative_sum_estimate(imap: IntervalMap, radius: float) -> float:
     """Grid estimate (not a certified supremum) of sup over |z| = radius of
-    sum_l |phi_l'(z)|, inflated by a safety factor."""
-    angles = 2.0 * np.pi * np.arange(n_points) / n_points
+    sum_l |phi_l'(z)| on _DERIV_SUM_POINTS points, inflated by _DERIV_SUM_SAFETY."""
+    angles = 2.0 * np.pi * np.arange(_DERIV_SUM_POINTS) / _DERIV_SUM_POINTS
     circle = radius * np.exp(1j * angles)
-    total = np.zeros(n_points)
+    total = np.zeros(_DERIV_SUM_POINTS)
     for branch in imap.branches:
         total += np.abs(np.asarray(branch.inverse_derivative(circle)))
-    return safety * float(total.max())
+    return _DERIV_SUM_SAFETY * float(total.max())
 
 
 def schedule_regime(r: float, big_r: float) -> bool:

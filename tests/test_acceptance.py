@@ -269,7 +269,7 @@ def test_criterion_8_oracle_equivalences():
     fourier_err = 0.0
     for a in (0.0, 0.3, SKEW):
         closed = fourier_cross_closed(a, 21)
-        quad = cross_gram_quadrature(make_skewed_doubling(a), fourier_basis(21), 21, 64)
+        quad = cross_gram_quadrature(make_skewed_doubling(a), fourier_basis(21), 64)
         fourier_err = max(fourier_err, float(np.abs(closed - quad).max()))
     assert fourier_err < 1e-10
 

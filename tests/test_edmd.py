@@ -232,16 +232,16 @@ class TestEdmdInvariants:
 class TestCrossGramQuadrature:
     def test_extended_agrees_with_double(self):
         imap = make_blaschke(0.3)
-        g64 = cross_gram_quadrature(imap, monomial_basis(8), 8, 64)
-        g_ext = cross_gram_quadrature(imap, monomial_basis(8), 8, 64, dtype=np.longdouble)
+        g64 = cross_gram_quadrature(imap, monomial_basis(8), 64)
+        g_ext = cross_gram_quadrature(imap, monomial_basis(8), 64, dtype=np.longdouble)
         assert np.abs(g64 - g_ext.astype(float)).max() < 1e-14
 
     def test_extended_fourier_rejected(self):
         with pytest.raises(ParameterError):
             cross_gram_quadrature(
-                make_skewed_doubling(0.1), fourier_basis(5), 5, 32, dtype=np.longdouble
+                make_skewed_doubling(0.1), fourier_basis(5), 32, dtype=np.longdouble
             )
 
     def test_order_validation(self):
         with pytest.raises(ParameterError):
-            cross_gram_quadrature(make_skewed_doubling(0.1), monomial_basis(3), 3, 0)
+            cross_gram_quadrature(make_skewed_doubling(0.1), monomial_basis(3), 0)

@@ -185,7 +185,7 @@ class TestFourierCrossClosed:
     def test_matches_per_branch_quadrature(self, a):
         n = 21
         g_closed = fourier_cross_closed(a, n)
-        g_quad = cross_gram_quadrature(make_skewed_doubling(a), fourier_basis(n), n, 64)
+        g_quad = cross_gram_quadrature(make_skewed_doubling(a), fourier_basis(n), 64)
         assert np.abs(g_closed - g_quad).max() < 1e-10
 
     def test_real_dictionary_spans_complex_exponentials(self):

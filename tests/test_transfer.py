@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from edmdmap.edmd import build_infinite, edmd_spectrum
-from edmdmap.errors import BranchCutError, NonAffineBranchError, ParameterError
-from edmdmap.maps import exact_spectrum_values, make_blaschke, make_skewed_doubling
+from edmdmap.errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
+from edmdmap.maps import Branch, IntervalMap, exact_spectrum_values, make_blaschke, make_skewed_doubling
 from edmdmap.observables import monomial_basis
 from edmdmap.spectral import GAMMA, eigenvalues
 from edmdmap.transfer import (
@@ -120,6 +120,26 @@ class TestCauchy:
     def test_branch_cut_detected(self):
         with pytest.raises(BranchCutError):
             transfer_matrix_analytic(make_blaschke(0.3), 10, sample_radius=1.5)
+
+    def test_aliasing_detected_until_samples_resolve_pole(self):
+        # a pole at z = 1.3 added to the left doubling branch: the Taylor
+        # coefficients on |z| = 1.1 decay only like (1.1/1.3)^k, so 64 samples
+        # alias (entries move by 8.75e-6 under doubling) and 256 do not
+        left, right = make_skewed_doubling(0.0).branches
+        pole = Branch(
+            domain_lo=left.domain_lo,
+            domain_hi=left.domain_hi,
+            forward=left.forward,
+            inverse=lambda z: left.inverse(z) + 0.01 / (np.asarray(z) - 1.3),
+            inverse_derivative=(
+                lambda z: left.inverse_derivative(z) - 0.01 / (np.asarray(z) - 1.3) ** 2
+            ),
+            sign=1,
+        )
+        imap = IntervalMap(branches=(pole, right), critical_points=(0.0,), deriv_sup=2.0)
+        with pytest.raises(AliasingError):
+            transfer_matrix_analytic(imap, 10, sample_radius=1.1, samples=64)
+        transfer_matrix_analytic(imap, 10, sample_radius=1.1, samples=256)
 
     def test_sample_validation(self):
         imap = make_skewed_doubling(0.2)
