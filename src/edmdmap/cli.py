@@ -123,6 +123,9 @@ def _cmd_bounds(args) -> int:
     imap, n_values = config.imap, config.n_values
     if config.basis_kind != MONOMIALS:
         raise ConfigError(f"key 'basis': bounds reports on {MONOMIALS} only")
+    for key in ("eps_pinv", "quad_order"):
+        if key in cfg:
+            raise ConfigError(f"key {key!r} is not read by bounds (sweep and spectrum only)")
     if imap.expansion_params is not None:
         r, big_r = imap.expansion_params
         rho = cfg.get("rho", math.sqrt(r * big_r))

@@ -21,6 +21,7 @@ from .errors import (
     ParameterError,
     UnsupportedMapError,
 )
+from .spectral import sort_eigenvalues
 
 __all__ = [
     "Branch",
@@ -198,26 +199,16 @@ def make_blaschke(mu: float) -> IntervalMap:
     """Interval Blaschke map: nonlinear symmetric deformation of the doubling map.
 
     Restricted to ``|mu| <= 0.3`` so that both inverse branches extend
-    analytically to a disk of radius > 1.  The derivative supremum is
-    estimated on a fine grid (x1.01 safety factor); it feeds bound
-    reporting only.
+    analytically to a disk of radius > 1.  T'(x) = 2 + 2 mu (c - mu) /
+    (1 - 2 mu c + mu^2) is monotone in c = cos(pi x), so sup |T'| is
+    2/(1 - |mu|) (x1.01 safety factor); it feeds bound reporting only.
     """
     if not abs(mu) <= 0.3:
         raise ParameterError(f"blaschke parameter must satisfy |mu| <= 0.3, got {mu}")
-    left = _blaschke_branch(mu, side=-1)
-    right = _blaschke_branch(mu, side=+1)
-
-    # |T'| = 1/|phi'(T x)| on each branch; sample branch interiors.
-    sup = 1.0
-    for branch in (left, right):
-        xs = np.linspace(branch.domain_lo, branch.domain_hi, 10_000)[1:-1]
-        tx = branch.forward(xs)
-        deriv = 1.0 / np.abs(branch.inverse_derivative(tx.astype(complex)))
-        sup = max(sup, float(deriv.max()))
     return IntervalMap(
-        branches=(left, right),
+        branches=(_blaschke_branch(mu, side=-1), _blaschke_branch(mu, side=+1)),
         critical_points=(0.0,),
-        deriv_sup=1.01 * sup,
+        deriv_sup=1.01 * 2.0 / (1.0 - abs(mu)),
         spectrum_kind="blaschke",
         spectrum_param=mu,
     )
@@ -242,34 +233,39 @@ def exact_spectrum_values(imap: IntervalMap, n_max: int) -> np.ndarray:
         pool = [1.0]
         for n in range(1, n_max + 1):
             pool.extend([mu**n, mu**n, ((1.0 + mu) / 2.0) ** n])
-        values = np.asarray(pool, dtype=complex)
-        order = np.lexsort((-values.imag, -values.real, -np.abs(values)))
-        return values[order][:n_max]
+        return sort_eigenvalues(pool)[:n_max]
     raise UnsupportedMapError("map has no exact reference spectrum")
 
 
-def verify_branch_analyticity(imap: IntervalMap, radius: float, samples: int = 720) -> None:
-    """Check inverse branches for branch-cut crossings on the circle |z| = radius.
+def _branch_on_circle(branch: Branch, index: int, circle: np.ndarray, radius: float):
+    """Values of one inverse branch and its derivative on a closed circle.
 
-    Walks equispaced points on the circle and requires the jump between
-    adjacent values of every inverse branch and its derivative to stay
-    below 0.5; principal-branch arccos crossing a cut produces an O(1)
-    jump.  Raises BranchCutError on failure or non-finite values.
+    ``circle`` holds equispaced points of |z| = radius in angular order.
+    Every value must be finite and no two neighbours (the last and the
+    first included) may differ by 0.5 or more: principal-branch arccos
+    crossing a cut produces an O(1) jump.  Raises BranchCutError otherwise,
+    and ParameterError for a radius <= 0.
     """
     if radius <= 0:
         raise ParameterError("radius must be positive")
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    circle = radius * np.exp(1j * angles)
-    for b, branch in enumerate(imap.branches):
-        for name, fn in (("inverse", branch.inverse), ("inverse_derivative", branch.inverse_derivative)):
-            vals = np.asarray(fn(circle))
-            if not np.all(np.isfinite(vals)):
-                raise BranchCutError(
-                    f"branch {b} {name} not finite on circle of radius {radius}"
-                )
-            jump = np.abs(np.diff(np.concatenate([vals, vals[:1]])))
-            if float(jump.max()) >= 0.5:
-                raise BranchCutError(
-                    f"branch {b} {name} jumps by {jump.max():.3g} on circle of "
-                    f"radius {radius}; reduce the sampling radius"
-                )
+    values = []
+    for name, fn in (("inverse", branch.inverse), ("inverse_derivative", branch.inverse_derivative)):
+        vals = np.asarray(fn(circle))
+        if not np.all(np.isfinite(vals)):
+            raise BranchCutError(f"branch {index} {name} not finite on circle of radius {radius}")
+        jump = float(np.abs(np.diff(vals, append=vals[:1])).max())
+        if jump >= 0.5:
+            raise BranchCutError(
+                f"branch {index} {name} jumps by {jump:.3g} on circle of "
+                f"radius {radius}; reduce the sampling radius"
+            )
+        values.append(vals)
+    return values
+
+
+def verify_branch_analyticity(imap: IntervalMap, radius: float, samples: int = 720) -> None:
+    """Check inverse branches for branch-cut crossings on ``samples`` equispaced
+    points of the circle |z| = radius, by the rule of ``_branch_on_circle``."""
+    circle = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    for index, branch in enumerate(imap.branches):
+        _branch_on_circle(branch, index, circle, radius)

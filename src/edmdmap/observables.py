@@ -80,9 +80,8 @@ def eval_basis(basis: ObservableBasis, x: np.ndarray | float) -> np.ndarray:
         powers = _power_rows(z, np.empty((basis.size // 2 + 1, arr.size), dtype=z.dtype))
         out = np.empty((basis.size, arr.size), dtype=arr.dtype)
         out[0] = 1
-        # rows 2k-1, 2k: sqrt(2) times the real and imaginary parts of exp(i*k*pi*x)
-        pairs = powers[1:].view(arr.dtype).reshape(-1, arr.size, 2).transpose(0, 2, 1)
-        np.multiply(np.sqrt(2.0), pairs, out=out[1:].reshape(pairs.shape))
+        np.multiply(np.sqrt(2.0), powers[1:].real, out=out[1::2])
+        np.multiply(np.sqrt(2.0), powers[1:].imag, out=out[2::2])
     return out[:, 0] if np.ndim(x) == 0 else out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, NonAffineBranchError, ParameterError
-from .maps import IntervalMap, verify_branch_analyticity
+from .maps import IntervalMap, _branch_on_circle
 from .observables import _power_rows
 
 __all__ = [
@@ -104,8 +104,10 @@ def transfer_matrix_analytic(
     """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*(phi(z)/rho)^l.
 
     The inverse branches must be analytic on the closed disk of the
-    sampling radius (checked at runtime); the result is accepted only if
-    doubling the sample count moves no entry by more than 1e-10.
+    sampling radius: each branch and its derivative, evaluated once on the
+    2*samples sampling circle, are checked for cut jumps there before any
+    power or FFT.  The result is accepted only if doubling the sample
+    count moves no entry by more than 1e-10.
     """
     if size < 1:
         raise ParameterError("size must be positive")
@@ -115,17 +117,15 @@ def transfer_matrix_analytic(
         raise ParameterError(f"need at least 4*size = {4 * size} circle samples, got {samples}")
     if samples & (samples - 1):
         raise ParameterError(f"sample count must be a power of two, got {samples}")
-    verify_branch_analyticity(imap, sample_radius, samples=min(samples, 4096))
     # the even points of the 2*samples circle are the samples circle exactly
     # (2*pi*(2j)/(2S) rounds like 2*pi*j/S), so one evaluation serves both
     count = 2 * samples
     circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
     powers = np.empty((size, count), dtype=complex)
     g = np.zeros((size, count), dtype=complex)
-    for branch in imap.branches:
-        phi = np.asarray(branch.inverse(circle))
-        weight = branch.sign * np.asarray(branch.inverse_derivative(circle))
-        g += weight * _power_rows(phi / rho, powers)
+    for index, branch in enumerate(imap.branches):
+        phi, dphi = _branch_on_circle(branch, index, circle, sample_radius)
+        g += branch.sign * dphi * _power_rows(phi / rho, powers)
     # L[k, l] = rho^k [z^k] g_l(z) = [w^k] g_l(rho*w), sampled on |w| = sample_radius/rho
     fine = taylor_coefficients_on_circle(g.T, size, sample_radius / rho)
     coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius / rho)

@@ -162,6 +162,10 @@ def test_bounds_measures_on_configured_nodes(tmp_path, capsys):
                      id="basis-fourier"),
         pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nrho = 1.2\n", "rho",
                      id="rho-without-r"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\neps_pinv = 0.5\n", "eps_pinv",
+                     id="eps_pinv"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nquad_order = 3\n", "quad_order",
+                     id="quad_order"),
     ],
 )
 def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):

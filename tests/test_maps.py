@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from edmdmap.errors import BranchCutError, MapDomainError, ParameterError, UnsupportedMapError
 from edmdmap.maps import (
@@ -86,11 +89,13 @@ class TestBlaschke:
 
     def test_deriv_sup_close_to_analytic_value(self):
         # T'(x) = 2 + 2 mu (cos(pi x) - mu) / (1 - 2 mu cos(pi x) + mu^2),
-        # maximal at x = 0 on each branch
-        mu = 0.3
-        B = make_blaschke(mu)
-        t_prime_max = 2.0 + 2.0 * mu * (1.0 - mu) / (1.0 - 2.0 * mu + mu * mu)
-        assert B.deriv_sup == pytest.approx(1.01 * t_prime_max, rel=1e-6)
+        # maximal at x = 0 on each branch for mu > 0 and at x = +-1 for mu < 0,
+        # where cos(pi x) = sign(mu) gives the same value with |mu|
+        for mu in (0.3, -0.3):
+            B = make_blaschke(mu)
+            m = abs(mu)
+            t_prime_max = 2.0 + 2.0 * m * (1.0 - m) / (1.0 - 2.0 * m + m * m)
+            assert B.deriv_sup == pytest.approx(1.01 * t_prime_max, rel=1e-6)
 
     def test_analyticity_check(self):
         B = make_blaschke(0.3)
@@ -195,3 +200,37 @@ class TestMapInvariants:
                 deriv_sup=T.deriv_sup,
                 expansion_params=(3.0, 2.0),
             )
+
+
+# |a| <= 0.95: the branch slope 2/(1 - |a|) scales rounding, and the round
+# trip misses 1e-14 from |a| = 0.99 on (1.1e-14 there, 1.1e-13 at 0.999)
+MAPS = st.one_of(
+    st.floats(-0.3, 0.3).map(make_blaschke),
+    st.floats(-0.95, 0.95).map(make_skewed_doubling),
+)
+
+
+class TestBranchProperties:
+    @settings(database=None, deadline=None)
+    @given(imap=MAPS, x=st.floats(-1.0, 1.0))
+    def test_forward_inverts_each_branch(self, imap, x):
+        for branch in imap.branches:
+            assert abs(branch.forward(branch.inverse(x).real) - x) <= 1e-14
+
+    @settings(database=None, deadline=None)
+    @given(imap=MAPS, x=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_map_inverts_each_branch(self, imap, x):
+        for branch in imap.branches:
+            y = float(branch.inverse(x).real)
+            # a preimage rounded onto or past a critical point follows the tie-break
+            assume(branch.domain_lo < y < branch.domain_hi)
+            assert abs(imap(y) - x) <= 1e-14
+
+    @settings(database=None, deadline=None)
+    @given(imap=MAPS, data=st.data())
+    def test_clip_moves_values_by_rounding_only(self, imap, data):
+        # IntervalMap.__call__ clips each branch's forward values to [-1, 1]
+        for branch in imap.branches:
+            x = data.draw(arrays(float, 32, elements=st.floats(branch.domain_lo, branch.domain_hi)))
+            values = branch.forward(x)
+            assert np.abs(values - np.clip(values, -1.0, 1.0)).max() <= 1e-14

@@ -1,6 +1,8 @@
 """Transfer-operator matrices: affine closed form, Cauchy sampling, bounds."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +122,32 @@ class TestCauchy:
     def test_branch_cut_detected(self):
         with pytest.raises(BranchCutError):
             transfer_matrix_analytic(make_blaschke(0.3), 10, sample_radius=1.5)
+
+    def test_each_branch_function_evaluated_once(self):
+        # the cut check reads the values of the Cauchy pass, so no second circle
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(z):
+                calls[key] += 1
+                return fn(z)
+            return wrapper
+
+        imap = make_blaschke(0.3)
+        branches = tuple(
+            replace(
+                branch,
+                inverse=counted((index, "inverse"), branch.inverse),
+                inverse_derivative=counted((index, "inverse_derivative"), branch.inverse_derivative),
+            )
+            for index, branch in enumerate(imap.branches)
+        )
+        counted_map = replace(imap, branches=branches)
+        calls.clear()  # Branch.__post_init__ reads the derivative at 0
+        tm = transfer_matrix_analytic(counted_map, 10)
+        assert calls == {(index, name): 1 for index in range(2)
+                         for name in ("inverse", "inverse_derivative")}
+        assert np.array_equal(tm.l, transfer_matrix_analytic(imap, 10).l)
 
     def test_aliasing_detected_until_samples_resolve_pole(self):
         # a pole at z = 1.3 added to the left doubling branch: the Taylor
