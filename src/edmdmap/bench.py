@@ -304,34 +304,35 @@ def _schedule(text: str) -> tuple[str, float]:
 # map kind -> (the key holding its parameter, constructor)
 _MAPS = {"skewed_doubling": ("a", make_skewed_doubling), "blaschke": ("mu", make_blaschke)}
 
-# Every accepted key and the reader of its text value.  Ranges are checked by
-# SweepConfig and the map constructors, which figure recipes also go through.
+# Every accepted key: the reader of its text value and the commands that read it.
+# Ranges are checked by SweepConfig and the map constructors, as for figure recipes.
+_ALL, _RUNS = ("sweep", "spectrum", "bounds"), ("sweep", "spectrum")
 CONFIG_KEYS = {
-    "map": _one_of(*_MAPS),
-    "a": float,
-    "mu": float,
-    "basis": _one_of(MONOMIALS, FOURIER),
-    "N": _int_list,
-    "M": lambda text: tuple(None if p.strip() == "inf" else int(p) for p in text.split(",")),
-    "schedule": _schedule,
-    "node_rule": _one_of("midpoint", "offset"),
-    "delta": float,
-    "quad_order": int,
-    "eps_pinv": float,
-    "eigen_indices": lambda text: None if text == "all" else _int_list(text),
-    "r": float,
-    "R_disk": float,
-    "L_method": _one_of("auto", "affine", "cauchy"),
-    "rho": float,
-    "sample_radius": float,
-    "samples": int,
+    "map": (_one_of(*_MAPS), _ALL),
+    "a": (float, _ALL),
+    "mu": (float, _ALL),
+    "basis": (_one_of(MONOMIALS, FOURIER), _ALL),
+    "N": (_int_list, _ALL),
+    "M": (lambda t: tuple(None if p.strip() == "inf" else int(p) for p in t.split(",")), _ALL),
+    "schedule": (_schedule, _ALL),
+    "node_rule": (_one_of("midpoint", "offset"), _ALL),
+    "delta": (float, _ALL),
+    "quad_order": (int, _RUNS),
+    "eps_pinv": (float, _RUNS),
+    "eigen_indices": (lambda text: None if text == "all" else _int_list(text), _RUNS),
+    "r": (float, ("bounds",)),
+    "R_disk": (float, ("bounds",)),
+    "L_method": (_one_of("auto", "affine", "cauchy"), ("spectrum",)),
+    "rho": (float, ("spectrum", "bounds")),
+    "sample_radius": (float, ("spectrum",)),
+    "samples": (int, ("spectrum",)),
 }
 
 
-def parse_config(text: str) -> dict[str, object]:
+def parse_config(text: str, command: str | None = None) -> dict[str, object]:
     """Parse flat ``key = value`` lines ('#' starts a comment) into typed
-    values.  A key outside CONFIG_KEYS or a value its reader rejects is a
-    ConfigError."""
+    values.  A key outside CONFIG_KEYS, a value its reader rejects or, once
+    all lines have parsed, a key ``command`` does not read is a ConfigError."""
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -347,9 +348,12 @@ def parse_config(text: str) -> dict[str, object]:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            out[key] = CONFIG_KEYS[key](value)
+            out[key] = CONFIG_KEYS[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: cannot read {value!r}: {exc}") from exc
+    for key in out:
+        if command not in (None, *CONFIG_KEYS[key][1]):
+            raise ConfigError(f"key {key!r} is not read by {command}")
     return out
 
 
@@ -392,7 +396,7 @@ def sweep_config(cfg: dict[str, object]) -> SweepConfig:
 
 def sweep_config_from_text(text: str) -> SweepConfig:
     """Build a SweepConfig from the plain-text experiment format."""
-    return sweep_config(parse_config(text))
+    return sweep_config(parse_config(text, "sweep"))
 
 
 def sweep_config_from_file(path: str | Path) -> SweepConfig:

@@ -42,13 +42,13 @@ from .transfer import (
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(Path(args.config).read_text(), "spectrum")
     config = sweep_config(cfg)
     if len(config.cells()) > 1:
         raise ConfigError("keys 'N' and 'M': spectrum runs one (N, M) cell; use sweep for a grid")
     n, m = config.cells()[0]
     config = replace(config, n_values=(n,), m_values=(m,), schedule=None, eigen_indices=None)
-    tm = _transfer_matrix(cfg, config.imap, n) if "L_method" in cfg else None
+    tm = _transfer_matrix(cfg, config.imap, n)
     records = run_sweep(config)
     failed = [rec for rec in records if rec.status != "ok"]
     if failed:
@@ -70,13 +70,18 @@ def _cmd_spectrum(args) -> int:
 
 
 def _transfer_matrix(cfg, imap, n):
-    """The truncated transfer matrix of the companion table; bad companion
-    keys are configuration errors, found before anything is printed."""
-    method = cfg["L_method"]
-    rho = cfg.get("rho", 1.0)
-    affine = all(branch.affine is not None for branch in imap.branches)
+    """The L_N matrix of the companion table (None without 'L_method'); bad
+    companion keys are configuration errors, found before any output."""
+    method = cfg.get("L_method")
     if method == "auto":
-        method = "affine" if affine else "cauchy"
+        method = "affine" if all(b.affine is not None for b in imap.branches) else "cauchy"
+    reads = {"affine": ("rho",), "cauchy": ("rho", "sample_radius", "samples")}.get(method, ())
+    for key in ("rho", "sample_radius", "samples"):
+        if key in cfg and key not in reads:
+            raise ConfigError(f"key {key!r} needs {'the cauchy route' if method else 'L_method'}")
+    if method is None:
+        return None
+    rho = cfg.get("rho", 1.0)
     try:
         if method == "affine":
             return transfer_matrix_affine(imap, n, rho=rho)
@@ -93,12 +98,16 @@ def _transfer_matrix(cfg, imap, n):
         raise ConfigError(f"key 'rho', 'sample_radius' or 'samples': {exc}") from exc
 
 
-def _cmd_sweep(args) -> int:
-    records = run_sweep(sweep_config_from_file(args.config))
-    write_records(records, args.out)
+def _write_sweep(config, out, label: str = "") -> int:
+    records = run_sweep(config)
+    write_records(records, out)
     failed = sum(1 for rec in records if rec.status != "ok")
-    print(f"wrote {len(records)} rows to {args.out}" + (f" ({failed} failed)" if failed else ""))
+    print(f"wrote {len(records)} rows{label} to {out}" + (f" ({failed} failed)" if failed else ""))
     return 3 if failed else 0
+
+
+def _cmd_sweep(args) -> int:
+    return _write_sweep(sweep_config_from_file(args.config), args.out)
 
 
 def _cmd_figure(args) -> int:
@@ -108,24 +117,16 @@ def _cmd_figure(args) -> int:
         write_radius_records(fourier_radius_study(a_values, n_values), args.out)
         print(f"wrote radius study ({args.name}) to {args.out}")
         return 0
-    records = run_sweep(recipe[1])
-    write_records(records, args.out)
-    failed = sum(1 for rec in records if rec.status != "ok")
-    print(f"wrote {len(records)} rows ({args.name}) to {args.out}"
-          + (f" ({failed} failed)" if failed else ""))
-    return 3 if failed else 0
+    return _write_sweep(recipe[1], args.out, f" ({args.name})")
 
 
 def _cmd_bounds(args) -> int:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(Path(args.config).read_text(), "bounds")
     defaults = {"N": (10,)} if "schedule" in cfg else {"N": (10,), "M": (1000,)}
     config = sweep_config(defaults | cfg)
     imap, n_values = config.imap, config.n_values
     if config.basis_kind != MONOMIALS:
         raise ConfigError(f"key 'basis': bounds reports on {MONOMIALS} only")
-    for key in ("eps_pinv", "quad_order"):
-        if key in cfg:
-            raise ConfigError(f"key {key!r} is not read by bounds (sweep and spectrum only)")
     if imap.expansion_params is not None:
         r, big_r = imap.expansion_params
         rho = cfg.get("rho", math.sqrt(r * big_r))

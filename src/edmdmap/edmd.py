@@ -237,7 +237,7 @@ def edmd_spectrum(pair: EdmdPair, eps: float = DEFAULT_EPS_PINV) -> Spectrum:
 
 def node_schedule(n: int, r: float) -> int:
     """Node count M = ceil(N^2 * R^N) sufficient for spectral convergence."""
-    if r <= 1.0:
+    if not r > 1.0:
         raise ParameterError("schedule rate R must exceed 1")
     if n < 1:
         raise ParameterError("N must be at least 1")

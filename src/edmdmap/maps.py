@@ -244,9 +244,9 @@ def _branch_on_circle(branch: Branch, index: int, circle: np.ndarray, radius: fl
     Every value must be finite and no two neighbours (the last and the
     first included) may differ by 0.5 or more: principal-branch arccos
     crossing a cut produces an O(1) jump.  Raises BranchCutError otherwise,
-    and ParameterError for a radius <= 0.
+    and ParameterError for a radius that is not positive (NaN included).
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ParameterError("radius must be positive")
     values = []
     for name, fn in (("inverse", branch.inverse), ("inverse_derivative", branch.inverse_derivative)):

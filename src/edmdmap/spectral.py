@@ -309,7 +309,7 @@ def schur_bound(a: np.ndarray) -> float:
 def scale_similarity(a: np.ndarray, rho: float) -> np.ndarray:
     """Conjugate by the diagonal scaling diag(rho^n): rho^(k-l) * A[k, l]."""
     a = _as_square(a)
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError("rho must be positive")
     n = a.shape[0]
     with np.errstate(over="ignore", under="ignore", divide="ignore"):

@@ -56,7 +56,7 @@ def transfer_matrix_affine(imap: IntervalMap, size: int, rho: float = 1.0) -> Tr
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError("rho must be positive")
     coeffs = []
     for branch in imap.branches:
@@ -111,7 +111,7 @@ def transfer_matrix_analytic(
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    if rho <= 0:
+    if not rho > 0:
         raise ParameterError("rho must be positive")
     if samples < 4 * size:
         raise ParameterError(f"need at least 4*size = {4 * size} circle samples, got {samples}")
@@ -153,7 +153,7 @@ def projection_error_bound(
     """
     if not r < rho < big_r:
         raise ParameterError(f"need r < rho < R, got r={r}, rho={rho}, R={big_r}")
-    if deriv_sum_sup <= 0:
+    if not deriv_sum_sup > 0:
         raise ParameterError("derivative sum supremum must be positive")
     c = rho / math.sqrt(rho * rho - r * r) * deriv_sum_sup
     return c * ((rho / big_r) ** size + (r / rho) ** size)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edmdmap.bench import (
     SweepConfig,
@@ -94,6 +96,35 @@ class TestRunSweep:
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
         write_records(records, first)
         write_records(read_records(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @settings(database=None, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                SweepRecord,
+                n_observables=st.integers(),
+                m_nodes=st.none() | st.integers(),
+                index=st.integers(),
+                approx=st.complex_numbers(allow_nan=True, allow_infinity=True),
+                exact=st.complex_numbers(allow_nan=True, allow_infinity=True),
+                delta=st.floats(),
+                delta_rank_paired=st.floats(),
+                eps_rank=st.integers(),
+                wall_ms=st.floats(),
+                status=st.text(),
+            )
+        )
+    )
+    def test_csv_bytes_roundtrip_property(self, tmp_path_factory, records):
+        """NaN, infinities, -0.0, M = inf and any status text survive
+        write -> read -> write byte for byte."""
+        folder = tmp_path_factory.mktemp("roundtrip")
+        first, second = folder / "a.csv", folder / "b.csv"
+        write_records(records, first)
+        reread = read_records(first)
+        write_records(reread, second)
+        assert len(reread) == len(records)
         assert first.read_bytes() == second.read_bytes()
 
     def test_inf_literal_in_csv(self, tmp_path):

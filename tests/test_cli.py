@@ -166,6 +166,14 @@ def test_bounds_measures_on_configured_nodes(tmp_path, capsys):
                      id="eps_pinv"),
         pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nquad_order = 3\n", "quad_order",
                      id="quad_order"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\neigen_indices = 0\n",
+                     "eigen_indices", id="eigen_indices"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nL_method = cauchy\n",
+                     "L_method", id="L_method"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nsample_radius = 1.5\n",
+                     "sample_radius", id="sample_radius"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nsamples = 16\n", "samples",
+                     id="samples"),
     ],
 )
 def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
@@ -220,6 +228,10 @@ def test_bad_transfer_method_exit_one(tmp_path):
                      "samples", id="cauchy-samples-below-4N"),
         pytest.param("map = blaschke\nmu = 0.3\nL_method = affine\n", "L_method",
                      id="affine-on-blaschke"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nrho = nan\n",
+                     "rho", id="cauchy-rho-nan"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\n"
+                     "sample_radius = nan\n", "sample_radius", id="cauchy-sample-radius-nan"),
     ],
 )
 def test_bad_transfer_keys_exit_one_before_output(tmp_path, capsys, text, key):
@@ -229,6 +241,47 @@ def test_bad_transfer_keys_exit_one_before_output(tmp_path, capsys, text, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error:") and repr(key) in captured.err
+
+
+GRID = f"map = skewed_doubling\na = {SKEW}\nN = 5\nM = 100\n"
+CELL = f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        pytest.param("sweep", GRID + "r = 1.05\nR_disk = 1.4\n", "r", id="sweep-r"),
+        pytest.param("sweep", GRID + "R_disk = 1.4\nr = 1.05\n", "R_disk", id="sweep-R_disk"),
+        pytest.param("sweep", GRID + "L_method = cauchy\n", "L_method", id="sweep-L_method"),
+        pytest.param("sweep", GRID + "rho = 1.2\n", "rho", id="sweep-rho"),
+        pytest.param("sweep", GRID + "sample_radius = 1.5\n", "sample_radius",
+                     id="sweep-sample_radius"),
+        pytest.param("sweep", GRID + "samples = 4096\n", "samples", id="sweep-samples"),
+        pytest.param("spectrum", CELL + "r = 1.05\nR_disk = 1.4\n", "r", id="spectrum-r"),
+        pytest.param("spectrum", CELL + "R_disk = 1.4\nr = 1.05\n", "R_disk",
+                     id="spectrum-R_disk"),
+        pytest.param("spectrum", CELL + "rho = 1.2\n", "rho", id="spectrum-rho-without-L_method"),
+        pytest.param("spectrum", CELL + "L_method = affine\nsamples = 4096\n", "samples",
+                     id="spectrum-samples-affine"),
+        pytest.param("spectrum", CELL + "L_method = auto\nsample_radius = 1.1\n",
+                     "sample_radius", id="spectrum-sample_radius-auto-affine"),
+    ],
+)
+def test_command_unread_key_exit_one(tmp_path, capsys, command, text, key):
+    path = tmp_path / "unread.cfg"
+    path.write_text(text)
+    out_csv = tmp_path / "x.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out_csv)] if command == "sweep" else [])
+    assert main(argv) == 1
+    assert not out_csv.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and repr(key) in captured.err
+
+
+def test_every_config_key_read_by_a_command():
+    for key, (_, commands) in CONFIG_KEYS.items():
+        assert commands and set(commands) <= {"sweep", "spectrum", "bounds"}, key
 
 
 def test_readme_cli_lines_match_help(capsys):

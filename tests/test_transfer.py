@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from edmdmap.edmd import build_infinite, edmd_spectrum
+from edmdmap.edmd import build_infinite, edmd_spectrum, node_schedule
 from edmdmap.errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
 from edmdmap.maps import Branch, IntervalMap, exact_spectrum_values, make_blaschke, make_skewed_doubling
 from edmdmap.observables import monomial_basis
-from edmdmap.spectral import GAMMA, eigenvalues
+from edmdmap.spectral import GAMMA, eigenvalues, scale_similarity
 from edmdmap.transfer import (
     derivative_sum_estimate,
     projection_error_bound,
@@ -206,3 +206,24 @@ class TestBounds:
         # sum |phi_l'| = (1+a)/2 + (1-a)/2 = 1 everywhere for the skewed map
         est = derivative_sum_estimate(make_skewed_doubling(0.4), radius=2.0)
         assert est == pytest.approx(1.05, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: transfer_matrix_affine(make_skewed_doubling(SKEW), 4, rho=math.nan),
+                     id="affine-rho"),
+        pytest.param(lambda: transfer_matrix_analytic(make_blaschke(0.3), 4, rho=math.nan),
+                     id="cauchy-rho"),
+        pytest.param(lambda: transfer_matrix_analytic(make_blaschke(0.3), 4, sample_radius=math.nan),
+                     id="cauchy-sample-radius"),
+        pytest.param(lambda: scale_similarity(np.eye(3), math.nan), id="scale-similarity-rho"),
+        pytest.param(lambda: node_schedule(3, math.nan), id="node-schedule-rate"),
+        pytest.param(lambda: projection_error_bound(1.1, 1.5, 1.2, 4, math.nan),
+                     id="projection-bound-derivative-sum"),
+    ],
+)
+def test_nan_parameter_rejected(call):
+    """A NaN parameter fails its range guard instead of flowing into the result."""
+    with pytest.raises(ParameterError):
+        call()
