@@ -21,7 +21,6 @@ import numpy as np
 
 from .edmd import (
     DEFAULT_EPS_PINV,
-    DEFAULT_QUAD_ORDER,
     build_finite,
     build_infinite,
     edmd_spectrum,
@@ -138,7 +137,6 @@ class SweepConfig:
     schedule: tuple[str, float] | None = None
     delta: float | None = None  # None selects the midpoint rule
     eps_pinv: float = DEFAULT_EPS_PINV
-    quad_order: int = DEFAULT_QUAD_ORDER
     eigen_indices: tuple[int, ...] | None = (0,)  # None means all per cell
 
     def __post_init__(self) -> None:
@@ -155,8 +153,6 @@ class SweepConfig:
             raise ConfigError(f"key 'eigen_indices': need indices in [0, min(N)), got {indices}")
         if not 0.0 <= self.eps_pinv < 1.0:
             raise ConfigError(f"key 'eps_pinv': {self.eps_pinv} outside [0, 1)")
-        if self.quad_order < 1:
-            raise ConfigError(f"key 'quad_order': {self.quad_order} must be >= 1")
         try:
             cells = self.cells()
         except (EdmdMapError, ArithmeticError, ValueError) as exc:
@@ -184,7 +180,7 @@ def _run_cell(config: SweepConfig, n: int, m: int | None) -> list[SweepRecord]:
     try:
         basis = ObservableBasis(config.basis_kind, n)
         if m is None:
-            pair = build_infinite(config.imap, basis, config.quad_order)
+            pair = build_infinite(config.imap, basis)
         else:
             pair = build_finite(config.imap, basis, nodes_equidistant(m, config.delta))
         with warnings.catch_warnings():
@@ -306,7 +302,7 @@ _MAPS = {"skewed_doubling": ("a", make_skewed_doubling), "blaschke": ("mu", make
 
 # Every accepted key: the reader of its text value and the commands that read it.
 # Ranges are checked by SweepConfig and the map constructors, as for figure recipes.
-_ALL, _RUNS = ("sweep", "spectrum", "bounds"), ("sweep", "spectrum")
+_ALL = ("sweep", "spectrum", "bounds")
 CONFIG_KEYS = {
     "map": (_one_of(*_MAPS), _ALL),
     "a": (float, _ALL),
@@ -317,15 +313,13 @@ CONFIG_KEYS = {
     "schedule": (_schedule, _ALL),
     "node_rule": (_one_of("midpoint", "offset"), _ALL),
     "delta": (float, _ALL),
-    "quad_order": (int, _RUNS),
-    "eps_pinv": (float, _RUNS),
-    "eigen_indices": (lambda text: None if text == "all" else _int_list(text), _RUNS),
+    "eps_pinv": (float, ("sweep", "spectrum")),
+    "eigen_indices": (lambda text: None if text == "all" else _int_list(text), ("sweep",)),
     "r": (float, ("bounds",)),
     "R_disk": (float, ("bounds",)),
     "L_method": (_one_of("auto", "affine", "cauchy"), ("spectrum",)),
     "rho": (float, ("spectrum", "bounds")),
     "sample_radius": (float, ("spectrum",)),
-    "samples": (int, ("spectrum",)),
 }
 
 
@@ -389,7 +383,6 @@ def sweep_config(cfg: dict[str, object]) -> SweepConfig:
         schedule=cfg.get("schedule"),
         delta=cfg.get("delta"),
         eps_pinv=cfg.get("eps_pinv", DEFAULT_EPS_PINV),
-        quad_order=cfg.get("quad_order", DEFAULT_QUAD_ORDER),
         eigen_indices=cfg.get("eigen_indices", (0,)),
     )
 

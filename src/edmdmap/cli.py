@@ -32,7 +32,6 @@ from .observables import MONOMIALS, gram_infinite, monomial_basis
 from .spectral import GAMMA, eigenvalues, pseudoinverse, schur_bound, spectral_norm
 from .transfer import (
     DEFAULT_SAMPLE_RADIUS,
-    DEFAULT_SAMPLES,
     derivative_sum_estimate,
     projection_error_bound,
     schedule_regime,
@@ -75,8 +74,8 @@ def _transfer_matrix(cfg, imap, n):
     method = cfg.get("L_method")
     if method == "auto":
         method = "affine" if all(b.affine is not None for b in imap.branches) else "cauchy"
-    reads = {"affine": ("rho",), "cauchy": ("rho", "sample_radius", "samples")}.get(method, ())
-    for key in ("rho", "sample_radius", "samples"):
+    reads = {"affine": ("rho",), "cauchy": ("rho", "sample_radius")}.get(method, ())
+    for key in ("rho", "sample_radius"):
         if key in cfg and key not in reads:
             raise ConfigError(f"key {key!r} needs {'the cauchy route' if method else 'L_method'}")
     if method is None:
@@ -86,16 +85,12 @@ def _transfer_matrix(cfg, imap, n):
         if method == "affine":
             return transfer_matrix_affine(imap, n, rho=rho)
         return transfer_matrix_analytic(
-            imap,
-            n,
-            rho=rho,
-            sample_radius=cfg.get("sample_radius", DEFAULT_SAMPLE_RADIUS),
-            samples=cfg.get("samples", DEFAULT_SAMPLES),
+            imap, n, rho=rho, sample_radius=cfg.get("sample_radius", DEFAULT_SAMPLE_RADIUS)
         )
     except NonAffineBranchError as exc:
         raise ConfigError(f"key 'L_method': affine needs affine inverse branches: {exc}") from exc
     except ParameterError as exc:
-        raise ConfigError(f"key 'rho', 'sample_radius' or 'samples': {exc}") from exc
+        raise ConfigError(f"key 'rho' or 'sample_radius': {exc}") from exc
 
 
 def _write_sweep(config, out, label: str = "") -> int:

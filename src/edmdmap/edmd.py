@@ -46,6 +46,9 @@ __all__ = [
 DEFAULT_QUAD_ORDER = 64
 DEFAULT_EPS_PINV = 1e-12
 
+# highest Gauss-Legendre order build_infinite evaluates before it gives up
+_MAX_QUAD_ORDER = 1024
+
 _MAX_COUNT = 2**62
 
 
@@ -152,21 +155,21 @@ def _leggauss_extended(q: int) -> tuple[np.ndarray, np.ndarray]:
 def cross_gram_quadrature(
     imap: IntervalMap,
     basis: ObservableBasis,
-    quad_order: int,
+    order: int,
     dtype: type = float,
 ) -> np.ndarray:
     """G[k, l] = (1/2) * integral of psi_k(T x) * psi_l(x) over [-1, 1],
     as a sum of Gauss-Legendre rules on the branch intervals, where the
     integrand is analytic.  dtype=numpy.longdouble runs the rule in 80-bit
     arithmetic (monomial bases only)."""
-    if quad_order < 1:
+    if order < 1:
         raise ParameterError("quadrature order must be positive")
     if dtype is np.longdouble:
         if basis.kind == FOURIER:
             raise ParameterError("extended-precision quadrature supports monomials only")
-        pts, wts = _leggauss_extended(quad_order)
+        pts, wts = _leggauss_extended(order)
     else:
-        pts, wts = np.polynomial.legendre.leggauss(quad_order)
+        pts, wts = np.polynomial.legendre.leggauss(order)
     g = np.zeros((basis.size, basis.size), dtype=pts.dtype)
     for branch in imap.branches:
         lo, hi = branch.domain_lo, branch.domain_hi
@@ -178,34 +181,37 @@ def cross_gram_quadrature(
     return g / 2.0
 
 
-def build_infinite(
-    imap: IntervalMap,
-    basis: ObservableBasis,
-    quad_order: int = DEFAULT_QUAD_ORDER,
-) -> EdmdPair:
-    """Infinite-node pair: closed-form H; G by quadrature with an automatic
-    order-doubling stability pass, or by the Fourier/skewed-doubling closed
-    form when available."""
+def build_infinite(imap: IntervalMap, basis: ObservableBasis) -> EdmdPair:
+    """Infinite-node pair: closed-form H; G by the Fourier/skewed-doubling
+    closed form when available, else by quadrature whose order doubles from
+    DEFAULT_QUAD_ORDER until no entry moves by more than 1e-10."""
     h = gram_infinite(basis)
     h_ext = g_ext = None
     if basis.kind == FOURIER and imap.spectrum_kind == "skewed_doubling":
         g = fourier_cross_closed(imap.spectrum_param, basis.size)
         provenance = Provenance("closed_form")
     else:
-        coarse = cross_gram_quadrature(imap, basis, quad_order)
+        order = DEFAULT_QUAD_ORDER
+        coarse = cross_gram_quadrature(imap, basis, order)
+        while True:
+            if basis.kind == MONOMIALS:
+                g_ext = cross_gram_quadrature(imap, basis, 2 * order, dtype=np.longdouble)
+                g = g_ext.astype(float)
+            else:
+                g = cross_gram_quadrature(imap, basis, 2 * order)
+            drift = float(np.abs(g - coarse).max())
+            if drift <= 1e-10:
+                break
+            if 4 * order > _MAX_QUAD_ORDER:
+                raise QuadratureError(
+                    f"cross matrix changed by {drift:.3g} when doubling the quadrature "
+                    f"order from {order} to {2 * order}, the highest order tried; "
+                    "integrand under-resolved"
+                )
+            order, coarse = 2 * order, g
         if basis.kind == MONOMIALS:
-            g_ext = cross_gram_quadrature(imap, basis, 2 * quad_order, dtype=np.longdouble)
             h_ext = gram_infinite(basis, dtype=np.longdouble)
-            g = g_ext.astype(float)
-        else:
-            g = cross_gram_quadrature(imap, basis, 2 * quad_order)
-        drift = float(np.abs(g - coarse).max())
-        if drift > 1e-10:
-            raise QuadratureError(
-                f"cross matrix changed by {drift:.3g} when doubling the "
-                f"quadrature order from {quad_order}; integrand under-resolved"
-            )
-        provenance = Provenance("infinite", quad_order=quad_order)
+        provenance = Provenance("infinite", quad_order=order)
     return EdmdPair(
         h=h, g=g, provenance=provenance, basis=basis, imap=imap, h_ext=h_ext, g_ext=g_ext
     )

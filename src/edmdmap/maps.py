@@ -32,6 +32,8 @@ __all__ = [
     "verify_branch_analyticity",
 ]
 
+_ANALYTICITY_POINTS = 720
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -65,40 +67,38 @@ class Branch:
 
 @dataclass(frozen=True)
 class IntervalMap:
-    """Full-branch map assembled from branches with disjoint domains.
+    """Full-branch map assembled from branches whose domains tile [-1, 1]
+    in order.
 
-    ``critical_points`` are the interior branch endpoints; forward
-    evaluation at a critical point uses the branch to its left.
-    ``deriv_sup`` is (an upper bound for) ``sup |T'|`` off the critical set.
-    ``spectrum_kind``/``spectrum_param`` identify an exactly known transfer
-    operator spectrum ("skewed_doubling", "blaschke") or "" when none is.
-    ``expansion_params`` is an optional, uncertified pair ``(r, R)`` with
-    ``1 < r < R`` used only in bound reporting.
+    ``critical_points`` are the interior branch endpoints, derived from the
+    domains; forward evaluation at a critical point uses the branch to its
+    left.  ``deriv_sup`` is (an upper bound for) ``sup |T'|`` off the
+    critical set.  ``spectrum_kind``/``spectrum_param`` identify an exactly
+    known transfer operator spectrum ("skewed_doubling", "blaschke") or ""
+    when none is.  ``expansion_params`` is an optional, uncertified pair
+    ``(r, R)`` with ``1 < r < R`` used only in bound reporting.
     """
 
     branches: tuple[Branch, ...]
-    critical_points: tuple[float, ...]
     deriv_sup: float
     spectrum_kind: str = ""
     spectrum_param: float = 0.0
     expansion_params: tuple[float, float] | None = None
-    _criticals: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    critical_points: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.critical_points) != len(self.branches) - 1:
-            raise ParameterError("need exactly one critical point between consecutive branches")
-        crit = np.asarray(self.critical_points, dtype=float)
-        if crit.size and not (
-            np.all(np.diff(crit) > 0) and crit[0] > -1.0 and crit[-1] < 1.0
+        ends = [(b.domain_lo, b.domain_hi) for b in self.branches]
+        if not ends or ends[0][0] != -1.0 or ends[-1][1] != 1.0 or any(
+            left[1] != right[0] for left, right in zip(ends, ends[1:])
         ):
-            raise ParameterError("critical points must be strictly increasing inside (-1, 1)")
+            raise ParameterError(f"branch domains {ends} do not tile [-1, 1] in order")
         if self.deriv_sup < 1.0:
             raise ParameterError("expanding map requires deriv_sup >= 1")
         if self.expansion_params is not None:
             r, big_r = self.expansion_params
             if not 1.0 < r < big_r:
                 raise ParameterError("expansion parameters must satisfy 1 < r < R")
-        object.__setattr__(self, "_criticals", crit)
+        object.__setattr__(self, "critical_points", tuple(hi for _, hi in ends[:-1]))
 
     @property
     def n_branches(self) -> int:
@@ -113,7 +113,7 @@ class IntervalMap:
         arr = np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, float))
         if np.any(arr < -1.0) or np.any(arr > 1.0):
             raise MapDomainError("map evaluation outside [-1, 1]")
-        idx = np.searchsorted(self._criticals, arr, side="left")
+        idx = np.searchsorted(self.critical_points, arr, side="left")
         out = np.empty_like(arr)
         for b, branch in enumerate(self.branches):
             mask = idx == b
@@ -154,7 +154,6 @@ def make_skewed_doubling(a: float) -> IntervalMap:
     right = _affine_branch(a, 1.0, (1.0 - a) / 2.0, (a + 1.0) / 2.0)
     return IntervalMap(
         branches=(left, right),
-        critical_points=(a,),
         deriv_sup=2.0 / (1.0 - abs(a)),
         spectrum_kind="skewed_doubling",
         spectrum_param=a,
@@ -207,7 +206,6 @@ def make_blaschke(mu: float) -> IntervalMap:
         raise ParameterError(f"blaschke parameter must satisfy |mu| <= 0.3, got {mu}")
     return IntervalMap(
         branches=(_blaschke_branch(mu, side=-1), _blaschke_branch(mu, side=+1)),
-        critical_points=(0.0,),
         deriv_sup=1.01 * 2.0 / (1.0 - abs(mu)),
         spectrum_kind="blaschke",
         spectrum_param=mu,
@@ -263,9 +261,11 @@ def _branch_on_circle(branch: Branch, index: int, circle: np.ndarray, radius: fl
     return values
 
 
-def verify_branch_analyticity(imap: IntervalMap, radius: float, samples: int = 720) -> None:
-    """Check inverse branches for branch-cut crossings on ``samples`` equispaced
-    points of the circle |z| = radius, by the rule of ``_branch_on_circle``."""
-    circle = radius * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+def verify_branch_analyticity(imap: IntervalMap, radius: float) -> None:
+    """Check inverse branches for branch-cut crossings on _ANALYTICITY_POINTS
+    equispaced points of the circle |z| = radius, by the rule of
+    ``_branch_on_circle``."""
+    angles = np.linspace(0.0, 2.0 * np.pi, _ANALYTICITY_POINTS, endpoint=False)
+    circle = radius * np.exp(1j * angles)
     for index, branch in enumerate(imap.branches):
         _branch_on_circle(branch, index, circle, radius)

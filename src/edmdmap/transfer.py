@@ -99,41 +99,46 @@ def transfer_matrix_analytic(
     size: int,
     rho: float = 1.0,
     sample_radius: float = DEFAULT_SAMPLE_RADIUS,
-    samples: int = DEFAULT_SAMPLES,
 ) -> TransferMatrix:
     """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*(phi(z)/rho)^l.
 
-    The inverse branches must be analytic on the closed disk of the
-    sampling radius: each branch and its derivative, evaluated once on the
-    2*samples sampling circle, are checked for cut jumps there before any
-    power or FFT.  The result is accepted only if doubling the sample
-    count moves no entry by more than 1e-10.
+    The sample count is DEFAULT_SAMPLES, raised to the next power of two
+    >= 4*size.  The inverse branches must be analytic on the closed disk of
+    the sampling radius: each branch and its derivative, evaluated once on
+    the 2*samples sampling circle, are checked for cut jumps there before
+    any power or FFT.  The result is accepted only if doubling the sample
+    count moves no entry by more than 1e-10; rho and sample_radius must
+    give a finite matrix.
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    if not rho > 0:
-        raise ParameterError("rho must be positive")
-    if samples < 4 * size:
-        raise ParameterError(f"need at least 4*size = {4 * size} circle samples, got {samples}")
-    if samples & (samples - 1):
-        raise ParameterError(f"sample count must be a power of two, got {samples}")
+    if not 0 < rho < math.inf:
+        raise ParameterError("rho must be positive and finite")
+    if not 0 < sample_radius < math.inf:
+        raise ParameterError("sample radius must be positive and finite")
+    samples = max(DEFAULT_SAMPLES, 1 << (4 * size - 1).bit_length())
     # the even points of the 2*samples circle are the samples circle exactly
     # (2*pi*(2j)/(2S) rounds like 2*pi*j/S), so one evaluation serves both
     count = 2 * samples
     circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
     powers = np.empty((size, count), dtype=complex)
     g = np.zeros((size, count), dtype=complex)
-    for index, branch in enumerate(imap.branches):
-        phi, dphi = _branch_on_circle(branch, index, circle, sample_radius)
-        g += branch.sign * dphi * _power_rows(phi / rho, powers)
-    # L[k, l] = rho^k [z^k] g_l(z) = [w^k] g_l(rho*w), sampled on |w| = sample_radius/rho
-    fine = taylor_coefficients_on_circle(g.T, size, sample_radius / rho)
-    coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius / rho)
-    drift = float(np.abs(fine - coarse).max())
-    if drift > 1e-10:
+    with np.errstate(all="ignore"):  # a radius or rho far from 1 overflows; caught below
+        for index, branch in enumerate(imap.branches):
+            phi, dphi = _branch_on_circle(branch, index, circle, sample_radius)
+            g += branch.sign * dphi * _power_rows(phi / rho, powers)
+        # L[k, l] = rho^k [z^k] g_l(z) = [w^k] g_l(rho*w), sampled on |w| = sample_radius/rho
+        fine = taylor_coefficients_on_circle(g.T, size, sample_radius / rho)
+        coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius / rho)
+        drift = float(np.abs(fine - coarse).max())
+    if not math.isfinite(drift):
+        raise ParameterError(
+            f"rho = {rho} and sample radius {sample_radius} give a non-finite transfer matrix"
+        )
+    if not drift <= 1e-10:
         raise AliasingError(
             f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
-            "increase samples or reduce the sampling radius"
+            "reduce the sampling radius or bring rho closer to 1"
         )
     return TransferMatrix(
         l=fine,

@@ -136,7 +136,7 @@ def test_criterion_4_fig22_exponential_convergence():
     imap = make_blaschke(0.3)
     deltas = {}
     for n in range(5, 21):
-        spec = edmd_spectrum(build_infinite(imap, monomial_basis(n), quad_order=64))
+        spec = edmd_spectrum(build_infinite(imap, monomial_basis(n)))
         deltas[n] = _deltas(imap, spec, 2)[1]
     xs = np.array(sorted(deltas))
     slope = np.polyfit(xs, np.log([deltas[n] for n in xs]), 1)[0]
@@ -256,7 +256,7 @@ def test_criterion_8_oracle_equivalences():
     # Cauchy-sampled transfer matrix vs affine closed form
     cauchy_err = float(
         np.abs(
-            transfer_matrix_analytic(imap, 10, sample_radius=1.5, samples=64).l
+            transfer_matrix_analytic(imap, 10, sample_radius=1.5).l
             - transfer_matrix_affine(imap, 10).l
         ).max()
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edmdmap import edmd
 from edmdmap.bench import (
     SweepConfig,
     SweepRecord,
@@ -23,7 +24,7 @@ from edmdmap.bench import (
 )
 from edmdmap.errors import ConfigError, InsufficientDataError, ParameterError, RankTruncationWarning
 from edmdmap.maps import make_blaschke, make_skewed_doubling
-from edmdmap.observables import MONOMIALS
+from edmdmap.observables import FOURIER, MONOMIALS
 
 SKEW = 1.0 / np.sqrt(2.0)
 
@@ -138,14 +139,14 @@ class TestRunSweep:
         body = (tmp_path / "inf.csv").read_text().splitlines()
         assert body[1].split(",")[1] == "inf"
 
-    def test_cell_failure_recorded_not_raised(self):
-        # quad_order 2 fails the order-doubling stability check on blaschke
+    def test_cell_failure_recorded_not_raised(self, monkeypatch):
+        # Fourier N = 41 on Blaschke needs quadrature order 256, above this ceiling
+        monkeypatch.setattr(edmd, "_MAX_QUAD_ORDER", 128)
         config = SweepConfig(
             imap=make_blaschke(0.3),
-            basis_kind=MONOMIALS,
-            n_values=(10,),
+            basis_kind=FOURIER,
+            n_values=(41,),
             m_values=(100, None),
-            quad_order=2,
             eigen_indices=(0, 1),
         )
         records = run_sweep(config)
@@ -316,11 +317,10 @@ class TestConfigParsing:
     def test_full_sweep_config(self):
         config = sweep_config_from_text(
             "map = blaschke\nmu = 0.3\nbasis = monomials\nN = 5,6\n"
-            "M = 100,inf\neigen_indices = 0,1\nquad_order = 32\neps_pinv = 1e-10\n"
+            "M = 100,inf\neigen_indices = 0,1\neps_pinv = 1e-10\n"
         )
         assert config.imap.spectrum_kind == "blaschke"
         assert config.m_values == (100, None)
-        assert config.quad_order == 32
         assert config.eps_pinv == pytest.approx(1e-10)
 
     def test_schedule_syntax(self):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edmdmap import edmd
 from edmdmap.bench import CONFIG_KEYS, parse_config, read_records
 from edmdmap.cli import main
 
@@ -22,8 +23,10 @@ def skewed_cfg(tmp_path):
     return str(path)
 
 
-def test_spectrum_exit_zero(skewed_cfg, capsys):
-    assert main(["spectrum", "--config", skewed_cfg]) == 0
+def test_spectrum_exit_zero(tmp_path, capsys):
+    path = tmp_path / "cell.cfg"
+    path.write_text(f"map = skewed_doubling\na = {SKEW}\nbasis = monomials\nN = 5\nM = inf\n")
+    assert main(["spectrum", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "delta" in out and "M=inf" in out
     assert len(out.strip().splitlines()) == 7  # two header lines + full N=5 spectrum
@@ -92,7 +95,7 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
     [
         pytest.param(BASE + "eigen_indice = 0\n", "eigen_indice", id="misspelt-key"),
         pytest.param(BASE + "r = 1.05\nR = 1.4\n", "R", id="R-alias"),
-        pytest.param(BASE + "quad_order = 1.5\n", "quad_order", id="quad-order-float"),
+        pytest.param(BASE.replace("N = 3", "N = 1.5"), "N", id="N-float"),
         pytest.param(BASE + "eigen_indices = -1\n", "eigen_indices", id="negative-index"),
         pytest.param(BASE + "eps_pinv = nan\n", "eps_pinv", id="eps-nan"),
         pytest.param(BASE.replace("N = 3", "N = 0") + "eigen_indices = all\n", "N",
@@ -105,6 +108,7 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
         pytest.param(BASE + "node_rule = offset\ndelta = 0.25\n", "delta",
                      id="delta-above-2-over-M"),
         pytest.param(BASE + "mu = 0.3\n", "mu", id="mu-on-skewed-doubling"),
+        # samples is no longer a key, so it is rejected as unknown
         pytest.param(BASE + "samples = 4096.7\n", "samples", id="samples-float"),
         pytest.param(BASE + "r = 1.05\n", "r", id="r-without-R_disk"),
         pytest.param(BASE + "out = x.csv\n", "out", id="out-key"),
@@ -184,22 +188,38 @@ def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
     assert captured.out == "" and repr(key) in captured.err
 
 
-def test_numerical_failure_exit_two(tmp_path, capsys):
+FOURIER_41 = "map = blaschke\nmu = 0.3\nbasis = fourier\nN = 41\n"
+
+
+def test_numerical_failure_exit_two(tmp_path, capsys, monkeypatch):
+    # Fourier N = 41 on Blaschke needs quadrature order 256, above this ceiling
+    monkeypatch.setattr(edmd, "_MAX_QUAD_ORDER", 128)
     path = tmp_path / "blaschke.cfg"
-    path.write_text("map = blaschke\nmu = 0.3\nN = 10\nM = inf\nquad_order = 2\n")
+    path.write_text(FOURIER_41 + "M = inf\n")
     assert main(["spectrum", "--config", str(path)]) == 2
+    assert "QuadratureError" in capsys.readouterr().out
 
 
-def test_partial_sweep_exit_three(tmp_path):
+def test_partial_sweep_exit_three(tmp_path, monkeypatch):
+    monkeypatch.setattr(edmd, "_MAX_QUAD_ORDER", 128)
     path = tmp_path / "partial.cfg"
-    path.write_text(
-        "map = blaschke\nmu = 0.3\nbasis = monomials\nN = 8\nM = 100,inf\nquad_order = 2\n"
-    )
+    path.write_text(FOURIER_41 + "M = 100,inf\n")
     out_csv = str(tmp_path / "partial.csv")
     assert main(["sweep", "--config", str(path), "--out", out_csv]) == 3
     statuses = {rec.m_nodes: rec.status for rec in read_records(out_csv)}
     assert statuses[100] == "ok"
     assert statuses[None].startswith("QuadratureError")
+
+
+def test_fourier_blaschke_infinite_cells_settle(tmp_path):
+    # the quadrature order doubles past the default until the cross matrix settles
+    path = tmp_path / "fourier.cfg"
+    path.write_text("map = blaschke\nmu = 0.3\nbasis = fourier\nN = 41,61,81\nM = inf\n")
+    out_csv = str(tmp_path / "fourier.csv")
+    assert main(["sweep", "--config", str(path), "--out", out_csv]) == 0
+    records = read_records(out_csv)
+    assert [rec.n_observables for rec in records] == [41, 61, 81]
+    assert all(rec.status == "ok" for rec in records)
 
 
 def test_spectrum_with_transfer_companion(tmp_path, capsys):
@@ -224,6 +244,7 @@ def test_bad_transfer_method_exit_one(tmp_path):
     [
         pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nrho = -1\n",
                      "rho", id="cauchy-rho-negative"),
+        # samples is no longer a key, so it is rejected as unknown
         pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nsamples = 16\n",
                      "samples", id="cauchy-samples-below-4N"),
         pytest.param("map = blaschke\nmu = 0.3\nL_method = affine\n", "L_method",
@@ -232,6 +253,12 @@ def test_bad_transfer_method_exit_one(tmp_path):
                      "rho", id="cauchy-rho-nan"),
         pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\n"
                      "sample_radius = nan\n", "sample_radius", id="cauchy-sample-radius-nan"),
+        *(
+            pytest.param(f"map = blaschke\nmu = 0.3\nL_method = cauchy\n{key} = {value}\n",
+                         key, id=f"cauchy-{key}-{value}")
+            for key, value in (("rho", "1e300"), ("rho", "1e-300"), ("rho", "inf"),
+                               ("sample_radius", "1e-300"), ("sample_radius", "inf"))
+        ),
     ],
 )
 def test_bad_transfer_keys_exit_one_before_output(tmp_path, capsys, text, key):
@@ -265,6 +292,8 @@ CELL = f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\n"
                      id="spectrum-samples-affine"),
         pytest.param("spectrum", CELL + "L_method = auto\nsample_radius = 1.1\n",
                      "sample_radius", id="spectrum-sample_radius-auto-affine"),
+        pytest.param("spectrum", CELL + "eigen_indices = 0,1\n", "eigen_indices",
+                     id="spectrum-eigen_indices"),
     ],
 )
 def test_command_unread_key_exit_one(tmp_path, capsys, command, text, key):
@@ -282,6 +311,19 @@ def test_command_unread_key_exit_one(tmp_path, capsys, command, text, key):
 def test_every_config_key_read_by_a_command():
     for key, (_, commands) in CONFIG_KEYS.items():
         assert commands and set(commands) <= {"sweep", "spectrum", "bounds"}, key
+
+
+def test_accepted_command_key_pairs():
+    # a new config key, or a key read by one more command, must edit this set
+    shared = ("map", "a", "mu", "basis", "N", "M", "schedule", "node_rule", "delta")
+    expected = {(command, key) for command in ("sweep", "spectrum", "bounds") for key in shared}
+    expected |= {
+        ("sweep", "eps_pinv"), ("spectrum", "eps_pinv"), ("sweep", "eigen_indices"),
+        ("spectrum", "L_method"), ("spectrum", "rho"), ("spectrum", "sample_radius"),
+        ("bounds", "r"), ("bounds", "R_disk"), ("bounds", "rho"),
+    }
+    accepted = {(command, key) for key, (_, commands) in CONFIG_KEYS.items() for command in commands}
+    assert accepted == expected and len(accepted) == 36
 
 
 def test_readme_cli_lines_match_help(capsys):

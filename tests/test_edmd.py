@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edmdmap import edmd
 from edmdmap.edmd import (
     EdmdPair,
     Provenance,
@@ -109,13 +110,21 @@ class TestBuildInfinite:
 
     def test_blaschke_quadrature_stability(self):
         imap = make_blaschke(0.3)
-        g64 = build_infinite(imap, monomial_basis(15), quad_order=64).g
-        g128 = build_infinite(imap, monomial_basis(15), quad_order=128).g
+        g64 = cross_gram_quadrature(imap, monomial_basis(15), 64)
+        g128 = cross_gram_quadrature(imap, monomial_basis(15), 128)
         assert np.abs(g64 - g128).max() < 1e-10
 
-    def test_underresolved_quadrature_raises(self):
+    def test_underresolved_quadrature_raises(self, monkeypatch):
+        # Fourier N = 41 on Blaschke moves by 1.84e-9 from order 64 to 128
+        monkeypatch.setattr(edmd, "_MAX_QUAD_ORDER", 128)
         with pytest.raises(QuadratureError):
-            build_infinite(make_blaschke(0.3), monomial_basis(12), quad_order=2)
+            build_infinite(make_blaschke(0.3), fourier_basis(41))
+
+    def test_quadrature_order_doubles_until_settled(self):
+        for n in (41, 61, 81):
+            pair = build_infinite(make_blaschke(0.3), fourier_basis(n))
+            assert pair.provenance.quad_order == 128
+        assert build_infinite(make_blaschke(0.3), fourier_basis(21)).provenance.quad_order == 64
 
     def test_fourier_skewed_uses_closed_form(self):
         pair = build_infinite(make_skewed_doubling(0.3), fourier_basis(7))

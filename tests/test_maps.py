@@ -1,5 +1,7 @@
 """Map construction, evaluation, inverse-branch consistency, exact spectra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -146,11 +148,7 @@ class TestExactSpectrum:
 
     def test_unsupported_map(self):
         T = make_skewed_doubling(0.2)
-        plain = IntervalMap(
-            branches=T.branches,
-            critical_points=T.critical_points,
-            deriv_sup=T.deriv_sup,
-        )
+        plain = IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup)
         with pytest.raises(UnsupportedMapError):
             exact_spectrum_values(plain, 3)
 
@@ -185,21 +183,24 @@ class TestMapInvariants:
             assert left.domain_hi == right.domain_lo
 
     def test_critical_point_validation(self):
-        T = make_skewed_doubling(0.2)
-        with pytest.raises(ParameterError):
-            IntervalMap(branches=T.branches, critical_points=(), deriv_sup=2.0)
-        with pytest.raises(ParameterError):
-            IntervalMap(branches=T.branches, critical_points=(1.5,), deriv_sup=2.0)
+        # critical points are the joins of the branch domains, which must tile [-1, 1]
+        left, right = make_skewed_doubling(0.2).branches
+        assert IntervalMap(branches=(left, right), deriv_sup=2.0).critical_points == (0.2,)
+        for branches in (
+            (left, replace(right, domain_lo=0.3)),  # gap
+            (left, replace(right, domain_lo=0.1)),  # overlap
+            (replace(left, domain_lo=-0.9), right),  # not starting at -1
+            (left, replace(right, domain_hi=0.9)),  # not ending at 1
+            (right, left),  # out of order
+            (),
+        ):
+            with pytest.raises(ParameterError):
+                IntervalMap(branches=branches, deriv_sup=2.0)
 
     def test_expansion_params_validation(self):
         T = make_skewed_doubling(0.2)
         with pytest.raises(ParameterError):
-            IntervalMap(
-                branches=T.branches,
-                critical_points=T.critical_points,
-                deriv_sup=T.deriv_sup,
-                expansion_params=(3.0, 2.0),
-            )
+            IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup, expansion_params=(3.0, 2.0))
 
 
 # |a| <= 0.95: the branch slope 2/(1 - |a|) scales rounding, and the round

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from edmdmap import transfer
 from edmdmap.edmd import build_infinite, edmd_spectrum, node_schedule
 from edmdmap.errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
 from edmdmap.maps import Branch, IntervalMap, exact_spectrum_values, make_blaschke, make_skewed_doubling
@@ -76,11 +77,11 @@ class TestAffine:
 class TestCauchy:
     def test_matches_affine_closed_form(self):
         imap = make_skewed_doubling(SKEW)
-        tm = transfer_matrix_analytic(imap, 10, rho=1.0, sample_radius=1.5, samples=64)
+        tm = transfer_matrix_analytic(imap, 10, rho=1.0, sample_radius=1.5)
         assert np.abs(tm.l - transfer_matrix_affine(imap, 10).l).max() < 1e-11
 
     def test_blaschke_mu_zero_degenerates_to_doubling(self):
-        tm = transfer_matrix_analytic(make_blaschke(0.0), 8, sample_radius=1.2, samples=64)
+        tm = transfer_matrix_analytic(make_blaschke(0.0), 8, sample_radius=1.2)
         assert np.abs(tm.l - transfer_matrix_affine(make_skewed_doubling(0.0), 8).l).max() < 1e-10
 
     def test_blaschke_eigenvalues_approach_exact_families(self):
@@ -149,7 +150,7 @@ class TestCauchy:
                          for name in ("inverse", "inverse_derivative")}
         assert np.array_equal(tm.l, transfer_matrix_analytic(imap, 10).l)
 
-    def test_aliasing_detected_until_samples_resolve_pole(self):
+    def test_aliasing_detected_until_samples_resolve_pole(self, monkeypatch):
         # a pole at z = 1.3 added to the left doubling branch: the Taylor
         # coefficients on |z| = 1.1 decay only like (1.1/1.3)^k, so 64 samples
         # alias (entries move by 8.75e-6 under doubling) and 256 do not
@@ -164,17 +165,20 @@ class TestCauchy:
             ),
             sign=1,
         )
-        imap = IntervalMap(branches=(pole, right), critical_points=(0.0,), deriv_sup=2.0)
+        imap = IntervalMap(branches=(pole, right), deriv_sup=2.0)
+        monkeypatch.setattr(transfer, "DEFAULT_SAMPLES", 64)
         with pytest.raises(AliasingError):
-            transfer_matrix_analytic(imap, 10, sample_radius=1.1, samples=64)
-        transfer_matrix_analytic(imap, 10, sample_radius=1.1, samples=256)
+            transfer_matrix_analytic(imap, 10, sample_radius=1.1)
+        monkeypatch.setattr(transfer, "DEFAULT_SAMPLES", 256)
+        assert "samples=256" in transfer_matrix_analytic(imap, 10, sample_radius=1.1).method
 
-    def test_sample_validation(self):
+    def test_sample_count_follows_size(self, monkeypatch):
+        # DEFAULT_SAMPLES, raised to the next power of two >= 4*size
+        monkeypatch.setattr(transfer, "DEFAULT_SAMPLES", 16)
         imap = make_skewed_doubling(0.2)
-        with pytest.raises(ParameterError):
-            transfer_matrix_analytic(imap, 10, samples=100)  # not a power of two
-        with pytest.raises(ParameterError):
-            transfer_matrix_analytic(imap, 10, samples=32)  # below 4N
+        assert transfer_matrix_analytic(imap, 3).method.endswith("samples=16)")
+        assert transfer_matrix_analytic(imap, 10).method.endswith("samples=64)")
+        assert transfer_matrix_analytic(imap, 16).method.endswith("samples=64)")
 
 
 class TestBounds:
