@@ -311,15 +311,11 @@ CONFIG_KEYS = {
     "N": (_int_list, _ALL),
     "M": (lambda t: tuple(None if p.strip() == "inf" else int(p) for p in t.split(",")), _ALL),
     "schedule": (_schedule, _ALL),
-    "node_rule": (_one_of("midpoint", "offset"), _ALL),
     "delta": (float, _ALL),
     "eps_pinv": (float, ("sweep", "spectrum")),
     "eigen_indices": (lambda text: None if text == "all" else _int_list(text), ("sweep",)),
     "r": (float, ("bounds",)),
     "R_disk": (float, ("bounds",)),
-    "L_method": (_one_of("auto", "affine", "cauchy"), ("spectrum",)),
-    "rho": (float, ("spectrum", "bounds")),
-    "sample_radius": (float, ("spectrum",)),
 }
 
 
@@ -373,8 +369,6 @@ def map_from_config(cfg: dict[str, object]) -> IntervalMap:
 
 def sweep_config(cfg: dict[str, object]) -> SweepConfig:
     """Build a SweepConfig from the typed values of parse_config."""
-    if (cfg.get("node_rule") == "offset") != ("delta" in cfg):
-        raise ConfigError("key 'delta' is read with node_rule = offset, and only then")
     return SweepConfig(
         imap=map_from_config(cfg),
         basis_kind=cfg.get("basis", MONOMIALS),
@@ -392,8 +386,17 @@ def sweep_config_from_text(text: str) -> SweepConfig:
     return sweep_config(parse_config(text, "sweep"))
 
 
+def read_config_text(path: str | Path) -> str:
+    """The text of a config file; one that cannot be read as UTF-8 text
+    (missing, a directory, no permission, other bytes) is a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
+
+
 def sweep_config_from_file(path: str | Path) -> SweepConfig:
-    return sweep_config_from_text(Path(path).read_text())
+    return sweep_config_from_text(read_config_text(path))
 
 
 # ----------------------------------------------------------------------

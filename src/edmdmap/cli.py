@@ -20,6 +20,7 @@ from .bench import (
     figure_recipe,
     fourier_radius_study,
     parse_config,
+    read_config_text,
     run_sweep,
     sweep_config,
     sweep_config_from_file,
@@ -27,11 +28,10 @@ from .bench import (
     write_records,
 )
 from .edmd import build_finite, nodes_equidistant
-from .errors import ConfigError, EdmdMapError, NonAffineBranchError, ParameterError
+from .errors import ConfigError, EdmdMapError
 from .observables import MONOMIALS, gram_infinite, monomial_basis
 from .spectral import GAMMA, eigenvalues, pseudoinverse, schur_bound, spectral_norm
 from .transfer import (
-    DEFAULT_SAMPLE_RADIUS,
     derivative_sum_estimate,
     projection_error_bound,
     schedule_regime,
@@ -41,13 +41,14 @@ from .transfer import (
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = parse_config(Path(args.config).read_text(), "spectrum")
+    cfg = parse_config(read_config_text(args.config), "spectrum")
     config = sweep_config(cfg)
     if len(config.cells()) > 1:
         raise ConfigError("keys 'N' and 'M': spectrum runs one (N, M) cell; use sweep for a grid")
     n, m = config.cells()[0]
     config = replace(config, n_values=(n,), m_values=(m,), schedule=None, eigen_indices=None)
-    tm = _transfer_matrix(cfg, config.imap, n)
+    affine = all(branch.affine is not None for branch in config.imap.branches)
+    tm = (transfer_matrix_affine if affine else transfer_matrix_analytic)(config.imap, n)
     records = run_sweep(config)
     failed = [rec for rec in records if rec.status != "ok"]
     if failed:
@@ -61,36 +62,20 @@ def _cmd_spectrum(args) -> int:
             f"{rec.index:>3} {rec.approx.real:>22.15e} {rec.approx.imag:>22.15e} "
             f"{rec.exact.real:>22.15e} {rec.delta:>12.3e}"
         )
-    if tm is not None:
-        print(f"transfer matrix L_N spectrum ({tm.method}, rho={tm.rho}):")
-        for i, value in enumerate(eigenvalues(tm.l).values):
-            print(f"{i:>3} {value.real:>22.15e} {value.imag:>22.15e}")
+    print(f"transfer matrix L_N spectrum ({tm.method}):")
+    for i, value in enumerate(eigenvalues(tm.l).values):
+        print(f"{i:>3} {value.real:>22.15e} {value.imag:>22.15e}")
     return 0
 
 
-def _transfer_matrix(cfg, imap, n):
-    """The L_N matrix of the companion table (None without 'L_method'); bad
-    companion keys are configuration errors, found before any output."""
-    method = cfg.get("L_method")
-    if method == "auto":
-        method = "affine" if all(b.affine is not None for b in imap.branches) else "cauchy"
-    reads = {"affine": ("rho",), "cauchy": ("rho", "sample_radius")}.get(method, ())
-    for key in ("rho", "sample_radius"):
-        if key in cfg and key not in reads:
-            raise ConfigError(f"key {key!r} needs {'the cauchy route' if method else 'L_method'}")
-    if method is None:
-        return None
-    rho = cfg.get("rho", 1.0)
-    try:
-        if method == "affine":
-            return transfer_matrix_affine(imap, n, rho=rho)
-        return transfer_matrix_analytic(
-            imap, n, rho=rho, sample_radius=cfg.get("sample_radius", DEFAULT_SAMPLE_RADIUS)
-        )
-    except NonAffineBranchError as exc:
-        raise ConfigError(f"key 'L_method': affine needs affine inverse branches: {exc}") from exc
-    except ParameterError as exc:
-        raise ConfigError(f"key 'rho' or 'sample_radius': {exc}") from exc
+def _check_out(out: str) -> None:
+    """An --out that cannot become a file is a configuration error, found
+    before any cell runs."""
+    path = Path(out)
+    if path.is_dir():
+        raise ConfigError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out}: directory {path.parent} does not exist")
 
 
 def _write_sweep(config, out, label: str = "") -> int:
@@ -102,11 +87,14 @@ def _write_sweep(config, out, label: str = "") -> int:
 
 
 def _cmd_sweep(args) -> int:
-    return _write_sweep(sweep_config_from_file(args.config), args.out)
+    config = sweep_config_from_file(args.config)
+    _check_out(args.out)
+    return _write_sweep(config, args.out)
 
 
 def _cmd_figure(args) -> int:
     recipe = figure_recipe(args.name)
+    _check_out(args.out)
     if recipe[0] == "radius":
         _, a_values, n_values = recipe
         write_radius_records(fourier_radius_study(a_values, n_values), args.out)
@@ -116,19 +104,12 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = parse_config(Path(args.config).read_text(), "bounds")
+    cfg = parse_config(read_config_text(args.config), "bounds")
     defaults = {"N": (10,)} if "schedule" in cfg else {"N": (10,), "M": (1000,)}
     config = sweep_config(defaults | cfg)
     imap, n_values = config.imap, config.n_values
     if config.basis_kind != MONOMIALS:
         raise ConfigError(f"key 'basis': bounds reports on {MONOMIALS} only")
-    if imap.expansion_params is not None:
-        r, big_r = imap.expansion_params
-        rho = cfg.get("rho", math.sqrt(r * big_r))
-        if not r < rho < big_r:
-            raise ConfigError(f"key 'rho': {rho} outside (r, R_disk) = ({r}, {big_r})")
-    elif "rho" in cfg:
-        raise ConfigError("key 'rho' is read by bounds only with 'r' and 'R_disk'")
     d = imap.n_branches
     g_factor = max(imap.deriv_sup, 2.0 * (d - 1))
 
@@ -136,6 +117,8 @@ def _cmd_bounds(args) -> int:
           f"||T'|| = {imap.deriv_sup:.6g}")
 
     if imap.expansion_params is not None:
+        r, big_r = imap.expansion_params
+        rho = math.sqrt(r * big_r)
         sup = derivative_sum_estimate(imap, big_r)
         flag = schedule_regime(r, big_r)
         print(f"expansion params (uncertified): r = {r}, R = {big_r}; "
@@ -204,7 +187,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except EdmdMapError as exc:

@@ -122,7 +122,19 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
     )
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_leggauss_cache: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _leggauss(q: int, extended: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights of order q in float64, or in 80-bit
+    precision when extended; each rule is built once and cached read-only."""
+    key = (q, extended)
+    if key not in _leggauss_cache:
+        rule = _leggauss_extended(q) if extended else np.polynomial.legendre.leggauss(q)
+        for array in rule:
+            array.flags.writeable = False
+        _leggauss_cache[key] = rule
+    return _leggauss_cache[key]
 
 
 def _leggauss_extended(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,9 +143,7 @@ def _leggauss_extended(q: int) -> tuple[np.ndarray, np.ndarray]:
     Double-precision nodes are polished with Newton steps on the Legendre
     recurrence carried out in longdouble.
     """
-    if q in _leggauss_cache:
-        return _leggauss_cache[q]
-    x = np.polynomial.legendre.leggauss(q)[0].astype(np.longdouble)
+    x = _leggauss(q)[0].astype(np.longdouble)
 
     def legendre_pair(x):
         p_prev = np.ones_like(x)
@@ -148,7 +158,6 @@ def _leggauss_extended(q: int) -> tuple[np.ndarray, np.ndarray]:
         x = x - p / dp
     _, dp = legendre_pair(x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    _leggauss_cache[q] = (x, w)
     return x, w
 
 
@@ -164,12 +173,10 @@ def cross_gram_quadrature(
     arithmetic (monomial bases only)."""
     if order < 1:
         raise ParameterError("quadrature order must be positive")
-    if dtype is np.longdouble:
-        if basis.kind == FOURIER:
-            raise ParameterError("extended-precision quadrature supports monomials only")
-        pts, wts = _leggauss_extended(order)
-    else:
-        pts, wts = np.polynomial.legendre.leggauss(order)
+    extended = dtype is np.longdouble
+    if extended and basis.kind == FOURIER:
+        raise ParameterError("extended-precision quadrature supports monomials only")
+    pts, wts = _leggauss(order, extended)
     g = np.zeros((basis.size, basis.size), dtype=pts.dtype)
     for branch in imap.branches:
         lo, hi = branch.domain_lo, branch.domain_hi

@@ -1,10 +1,17 @@
-"""Finite-rank transfer operator matrices in the scaled monomial basis.
+"""Finite-rank transfer operator matrices in the Taylor basis.
 
 The operator acts on functions analytic near the interval through its
 inverse branches, (L f)(z) = sum_l sign_l * phi_l'(z) * f(phi_l(z)).  Its
-matrix in the orthonormal basis e_n(z) = (z/rho)^n is computed exactly by
-binomial expansion when every inverse branch is affine, and otherwise by
-Cauchy-integral Taylor coefficients recovered from samples on a circle.
+matrix in the Taylor basis z^n is computed exactly by binomial expansion
+when every inverse branch is affine, and otherwise by Cauchy-integral
+Taylor coefficients recovered from samples on a circle.
+
+This is the Galerkin truncation L_N in the Hardy space of every disk
+|z| < rho: the projection onto polynomials of degree < N is the Taylor
+truncation for each rho, and the orthonormal basis (z/rho)^n only
+conjugates L_N by diag(rho^n) (``spectral.scale_similarity``).  So the
+spectrum of L_N does not depend on rho, which enters only
+``projection_error_bound``.
 """
 
 from __future__ import annotations
@@ -39,25 +46,23 @@ _DERIV_SUM_SAFETY = 1.05
 
 @dataclass(frozen=True, eq=False)
 class TransferMatrix:
-    """Truncated transfer operator matrix L[k, l] = (L e_l, e_k)."""
+    """Truncated transfer operator matrix L[k, l] = [z^k] (L z^l), and the
+    route that built it."""
 
     l: np.ndarray
-    rho: float
     method: str
 
 
-def transfer_matrix_affine(imap: IntervalMap, size: int, rho: float = 1.0) -> TransferMatrix:
+def transfer_matrix_affine(imap: IntervalMap, size: int) -> TransferMatrix:
     """Exact truncation for piecewise-affine maps.
 
-    With inverse branches alpha*z + beta, the image of e_l is a polynomial
+    With inverse branches alpha*z + beta, the image of z^l is a polynomial
     of degree l, so the matrix is upper triangular with the transfer
     operator eigenvalues sum_l sign*alpha^(n+1) on the diagonal:
-    L[k, l] = rho^(k-l) * [z^k] sum_branches sign * alpha * (alpha z + beta)^l.
+    L[k, l] = [z^k] sum_branches sign * alpha * (alpha z + beta)^l.
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    if not rho > 0:
-        raise ParameterError("rho must be positive")
     coeffs = []
     for branch in imap.branches:
         if branch.affine is None:
@@ -67,14 +72,8 @@ def transfer_matrix_affine(imap: IntervalMap, size: int, rho: float = 1.0) -> Tr
     for sign, alpha, beta in coeffs:
         for ell in range(size):
             for k in range(ell + 1):
-                l_mat[k, ell] += (
-                    sign
-                    * alpha ** (k + 1)
-                    * beta ** (ell - k)
-                    * math.comb(ell, k)
-                    * rho ** (k - ell)
-                )
-    return TransferMatrix(l=l_mat, rho=rho, method="affine_closed_form")
+                l_mat[k, ell] += sign * alpha ** (k + 1) * beta ** (ell - k) * math.comb(ell, k)
+    return TransferMatrix(l=l_mat, method="affine_closed_form")
 
 
 def taylor_coefficients_on_circle(
@@ -95,25 +94,20 @@ def taylor_coefficients_on_circle(
 
 
 def transfer_matrix_analytic(
-    imap: IntervalMap,
-    size: int,
-    rho: float = 1.0,
-    sample_radius: float = DEFAULT_SAMPLE_RADIUS,
+    imap: IntervalMap, size: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS
 ) -> TransferMatrix:
-    """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*(phi(z)/rho)^l.
+    """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*phi(z)^l.
 
     The sample count is DEFAULT_SAMPLES, raised to the next power of two
     >= 4*size.  The inverse branches must be analytic on the closed disk of
     the sampling radius: each branch and its derivative, evaluated once on
     the 2*samples sampling circle, are checked for cut jumps there before
     any power or FFT.  The result is accepted only if doubling the sample
-    count moves no entry by more than 1e-10; rho and sample_radius must
-    give a finite matrix.
+    count moves no entry by more than 1e-10; sample_radius must give a
+    finite matrix.
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    if not 0 < rho < math.inf:
-        raise ParameterError("rho must be positive and finite")
     if not 0 < sample_radius < math.inf:
         raise ParameterError("sample radius must be positive and finite")
     samples = max(DEFAULT_SAMPLES, 1 << (4 * size - 1).bit_length())
@@ -123,28 +117,22 @@ def transfer_matrix_analytic(
     circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
     powers = np.empty((size, count), dtype=complex)
     g = np.zeros((size, count), dtype=complex)
-    with np.errstate(all="ignore"):  # a radius or rho far from 1 overflows; caught below
+    with np.errstate(all="ignore"):  # a radius far from 1 overflows; caught below
         for index, branch in enumerate(imap.branches):
             phi, dphi = _branch_on_circle(branch, index, circle, sample_radius)
-            g += branch.sign * dphi * _power_rows(phi / rho, powers)
-        # L[k, l] = rho^k [z^k] g_l(z) = [w^k] g_l(rho*w), sampled on |w| = sample_radius/rho
-        fine = taylor_coefficients_on_circle(g.T, size, sample_radius / rho)
-        coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius / rho)
+            g += branch.sign * dphi * _power_rows(phi, powers)
+        # L[k, l] = [z^k] g_l(z)
+        fine = taylor_coefficients_on_circle(g.T, size, sample_radius)
+        coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius)
         drift = float(np.abs(fine - coarse).max())
     if not math.isfinite(drift):
-        raise ParameterError(
-            f"rho = {rho} and sample radius {sample_radius} give a non-finite transfer matrix"
-        )
+        raise ParameterError(f"sample radius {sample_radius} gives a non-finite transfer matrix")
     if not drift <= 1e-10:
         raise AliasingError(
             f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
-            "reduce the sampling radius or bring rho closer to 1"
+            "reduce the sampling radius"
         )
-    return TransferMatrix(
-        l=fine,
-        rho=rho,
-        method=f"cauchy(radius={sample_radius}, samples={samples})",
-    )
+    return TransferMatrix(l=fine, method=f"cauchy(radius={sample_radius}, samples={samples})")
 
 
 def projection_error_bound(

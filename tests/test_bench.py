@@ -332,14 +332,12 @@ class TestConfigParsing:
             sweep_config_from_text("map = skewed_doubling\na = 0.5\nN = 2\nschedule = cubic(2)\n")
 
     def test_node_rule_offset(self):
-        config = sweep_config_from_text(
-            "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\nnode_rule = offset\ndelta = 0.0\n"
-        )
-        assert config.delta == 0.0
-        with pytest.raises(ConfigError):
-            sweep_config_from_text(
-                "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\nnode_rule = offset\n"
-            )
+        # a delta key selects offset nodes; without it the nodes are midpoints
+        base = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
+        assert sweep_config_from_text(base + "delta = 0.0\n").delta == 0.0
+        assert sweep_config_from_text(base).delta is None
+        with pytest.raises(ConfigError, match="unknown key 'node_rule'"):
+            sweep_config_from_text(base + "node_rule = offset\n")
 
     def test_eigen_indices_all(self):
         config = sweep_config_from_text(

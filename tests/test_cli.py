@@ -1,12 +1,15 @@
 """CLI subcommands and exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edmdmap import edmd
+from edmdmap import cli, edmd
 from edmdmap.bench import CONFIG_KEYS, parse_config, read_records
 from edmdmap.cli import main
 
@@ -29,7 +32,8 @@ def test_spectrum_exit_zero(tmp_path, capsys):
     assert main(["spectrum", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "delta" in out and "M=inf" in out
-    assert len(out.strip().splitlines()) == 7  # two header lines + full N=5 spectrum
+    # two header lines + full N=5 spectrum, then the L_N header + its 5 eigenvalues
+    assert len(out.strip().splitlines()) == 13
 
 
 def test_spectrum_multi_cell_grid_exit_one(tmp_path, capsys):
@@ -105,7 +109,7 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
                      id="fourier-even-N"),
         pytest.param(BASE.replace("M = 10", "schedule = corollary1(0.5)"), "schedule",
                      id="schedule-rate"),
-        pytest.param(BASE + "node_rule = offset\ndelta = 0.25\n", "delta",
+        pytest.param(BASE + "delta = 0.25\n", "delta",
                      id="delta-above-2-over-M"),
         pytest.param(BASE + "mu = 0.3\n", "mu", id="mu-on-skewed-doubling"),
         # samples is no longer a key, so it is rejected as unknown
@@ -136,6 +140,7 @@ def test_readme_config_block_matches_key_table(tmp_path):
 
 
 def test_bounds_rho_outside_disk_exit_one(tmp_path, capsys):
+    # rho is no longer a key, so it is rejected as unknown
     path = tmp_path / "rho.cfg"
     path.write_text(
         f"map = skewed_doubling\na = {SKEW}\nN = 5\nr = 2.71\nR_disk = 3.0\nrho = 3.5\n"
@@ -148,7 +153,7 @@ def test_bounds_rho_outside_disk_exit_one(tmp_path, capsys):
 def test_bounds_measures_on_configured_nodes(tmp_path, capsys):
     base = f"map = skewed_doubling\na = {SKEW}\nN = 5,8\nM = 200\n"
     reports = []
-    for text in (base, base + "node_rule = offset\ndelta = 0.0\n"):
+    for text in (base, base + "delta = 0.0\n"):
         path = tmp_path / "bounds.cfg"
         path.write_text(text)
         assert main(["bounds", "--config", str(path)]) == 0
@@ -224,37 +229,46 @@ def test_fourier_blaschke_infinite_cells_settle(tmp_path):
 
 def test_spectrum_with_transfer_companion(tmp_path, capsys):
     path = tmp_path / "lm.cfg"
-    path.write_text(
-        f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\nL_method = auto\n"
-    )
+    path.write_text(f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\n")
     assert main(["spectrum", "--config", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "transfer matrix L_N spectrum" in out
-    assert "affine_closed_form" in out
+    assert "transfer matrix L_N spectrum (affine_closed_form):" in out
+
+
+def test_spectrum_cauchy_companion_on_blaschke(tmp_path, capsys):
+    path = tmp_path / "lm.cfg"
+    path.write_text("map = blaschke\nmu = 0.3\nN = 6\nM = inf\n")
+    assert main(["spectrum", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("transfer matrix L_N spectrum (cauchy(radius=1.1, samples=4096)):")
+    assert len(lines) - header - 1 == 6
+    assert float(lines[header + 1].split()[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bad_transfer_method_exit_one(tmp_path):
+    # L_method is no longer a key, so it is rejected as unknown
     path = tmp_path / "lm.cfg"
     path.write_text(f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\nL_method = qr\n")
     assert main(["spectrum", "--config", str(path)]) == 1
 
 
+# The L_N keys are gone, so each case is now rejected as an unknown key
 @pytest.mark.parametrize(
     "text, key",
     [
-        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nrho = -1\n",
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nrho = -1\n",
                      "rho", id="cauchy-rho-negative"),
         # samples is no longer a key, so it is rejected as unknown
-        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nsamples = 16\n",
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nsamples = 16\n",
                      "samples", id="cauchy-samples-below-4N"),
         pytest.param("map = blaschke\nmu = 0.3\nL_method = affine\n", "L_method",
                      id="affine-on-blaschke"),
-        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\nrho = nan\n",
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nrho = nan\n",
                      "rho", id="cauchy-rho-nan"),
-        pytest.param(f"map = skewed_doubling\na = {SKEW}\nL_method = cauchy\n"
-                     "sample_radius = nan\n", "sample_radius", id="cauchy-sample-radius-nan"),
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nsample_radius = nan\n",
+                     "sample_radius", id="cauchy-sample-radius-nan"),
         *(
-            pytest.param(f"map = blaschke\nmu = 0.3\nL_method = cauchy\n{key} = {value}\n",
+            pytest.param(f"map = blaschke\nmu = 0.3\n{key} = {value}\n",
                          key, id=f"cauchy-{key}-{value}")
             for key, value in (("rho", "1e300"), ("rho", "1e-300"), ("rho", "inf"),
                                ("sample_radius", "1e-300"), ("sample_radius", "inf"))
@@ -288,9 +302,9 @@ CELL = f"map = skewed_doubling\na = {SKEW}\nN = 6\nM = inf\n"
         pytest.param("spectrum", CELL + "R_disk = 1.4\nr = 1.05\n", "R_disk",
                      id="spectrum-R_disk"),
         pytest.param("spectrum", CELL + "rho = 1.2\n", "rho", id="spectrum-rho-without-L_method"),
-        pytest.param("spectrum", CELL + "L_method = affine\nsamples = 4096\n", "samples",
+        pytest.param("spectrum", CELL + "samples = 4096\n", "samples",
                      id="spectrum-samples-affine"),
-        pytest.param("spectrum", CELL + "L_method = auto\nsample_radius = 1.1\n",
+        pytest.param("spectrum", CELL + "sample_radius = 1.1\n",
                      "sample_radius", id="spectrum-sample_radius-auto-affine"),
         pytest.param("spectrum", CELL + "eigen_indices = 0,1\n", "eigen_indices",
                      id="spectrum-eigen_indices"),
@@ -315,15 +329,32 @@ def test_every_config_key_read_by_a_command():
 
 def test_accepted_command_key_pairs():
     # a new config key, or a key read by one more command, must edit this set
-    shared = ("map", "a", "mu", "basis", "N", "M", "schedule", "node_rule", "delta")
+    shared = ("map", "a", "mu", "basis", "N", "M", "schedule", "delta")
     expected = {(command, key) for command in ("sweep", "spectrum", "bounds") for key in shared}
     expected |= {
         ("sweep", "eps_pinv"), ("spectrum", "eps_pinv"), ("sweep", "eigen_indices"),
-        ("spectrum", "L_method"), ("spectrum", "rho"), ("spectrum", "sample_radius"),
-        ("bounds", "r"), ("bounds", "R_disk"), ("bounds", "rho"),
+        ("bounds", "r"), ("bounds", "R_disk"),
     }
     accepted = {(command, key) for key, (_, commands) in CONFIG_KEYS.items() for command in commands}
-    assert accepted == expected and len(accepted) == 36
+    assert accepted == expected and len(accepted) == 29
+    assert len(CONFIG_KEYS) == 12
+
+
+@pytest.mark.parametrize("command", ["sweep", "spectrum", "bounds"])
+@pytest.mark.parametrize("line", ["node_rule = offset", "L_method = auto", "rho = 1.2",
+                                  "sample_radius = 1.1"])
+def test_removed_key_exit_one(tmp_path, capsys, command, line):
+    # the node rule follows from 'delta', the L_N route from the map, rho from (r, R_disk)
+    path = tmp_path / "removed.cfg"
+    path.write_text(f"{GRID}{line}\n")
+    out_csv = tmp_path / "x.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out_csv)] if command == "sweep" else [])
+    assert main(argv) == 1
+    assert not out_csv.exists()
+    captured = capsys.readouterr()
+    key = line.split(" = ")[0]
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and f"unknown key {key!r}" in captured.err
 
 
 def test_readme_cli_lines_match_help(capsys):
@@ -336,3 +367,63 @@ def test_readme_cli_lines_match_help(capsys):
             main([command, "--help"])
         help_flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
         assert set(re.findall(r"--[a-z][a-z-]*", line)) == help_flags, command
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "bounds"])
+@pytest.mark.parametrize("case", ["directory", "permission", "not-utf8"])
+def test_unreadable_config_exit_one(tmp_path, capsys, monkeypatch, command, case):
+    path = tmp_path / "exp.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "permission":
+        # permission bits do not stop a superuser, so the denial is simulated
+        path.write_text(GRID)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+    else:
+        path.write_bytes(GRID.encode("utf-16"))
+    out_csv = tmp_path / "x.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out_csv)] if command == "sweep" else [])
+    assert main(argv) == 1
+    assert not out_csv.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and str(path) in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure"])
+@pytest.mark.parametrize("case", ["directory", "missing-parent"])
+def test_bad_out_exit_one_before_any_cell(tmp_path, capsys, monkeypatch, command, case):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_cell)
+    monkeypatch.setattr(cli, "fourier_radius_study", no_cell)
+    out = tmp_path if case == "directory" else tmp_path / "missing" / "x.csv"
+    path = tmp_path / "grid.cfg"
+    path.write_text(GRID)
+    source = ["--config", str(path)] if command == "sweep" else ["--name", "fig2.5"]
+    assert main([command, *source, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and str(out) in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "figure"])
+def test_out_dev_stdout(tmp_path, command):
+    path = tmp_path / "grid.cfg"
+    path.write_text(GRID)
+    source = ["--config", str(path)] if command == "sweep" else ["--name", "fig1.1R"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "edmdmap.cli", command, *source, "--out", "/dev/stdout"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("N,M,n,re_approx") and lines[-1].startswith("wrote ")

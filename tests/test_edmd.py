@@ -126,6 +126,21 @@ class TestBuildInfinite:
             assert pair.provenance.quad_order == 128
         assert build_infinite(make_blaschke(0.3), fourier_basis(21)).provenance.quad_order == 64
 
+    @pytest.mark.parametrize("basis", [monomial_basis(8), fourier_basis(9)], ids=["mono", "fourier"])
+    def test_second_build_reuses_cached_rules(self, monkeypatch, basis):
+        # the float64 and the 80-bit Gauss-Legendre rules are built once per order
+        monkeypatch.setattr(edmd, "_leggauss_cache", {})
+        leggauss, calls = np.polynomial.legendre.leggauss, []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda q: calls.append(q) or leggauss(q))
+        first = build_infinite(make_blaschke(0.3), basis)
+        built = len(calls)
+        second = build_infinite(make_blaschke(0.3), basis)
+        assert built > 0 and len(calls) == built
+        assert np.array_equal(first.g, second.g)
+        assert not any(array.flags.writeable for rule in edmd._leggauss_cache.values()
+                       for array in rule)
+
     def test_fourier_skewed_uses_closed_form(self):
         pair = build_infinite(make_skewed_doubling(0.3), fourier_basis(7))
         assert pair.provenance.kind == "closed_form"

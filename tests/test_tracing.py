@@ -1,8 +1,10 @@
-"""The benchmark's tracer still finds every library function it wraps.
+"""The benchmark still runs on the library.
 
-``perfbench/tracing.py`` looks library functions up by name; a rename or a
-deletion in ``src/edmdmap`` would otherwise show only in the slow benchmark
-self-test.  The tracer is imported from its file and never modified.
+``perfbench/tracing.py`` looks library functions up by name, and
+``perfbench/workloads.py`` writes config files; a rename, a deletion or a
+removed config key in ``src/edmdmap`` would otherwise show only in the slow
+benchmark self-test.  Both modules are imported from their files and never
+modified.
 """
 
 import importlib.util
@@ -16,17 +18,22 @@ from edmdmap import bench, cli, edmd, maps, observables, spectral, transfer
 from edmdmap.maps import make_skewed_doubling
 from edmdmap.observables import monomial_basis
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HOLDERS = (edmdmap, maps, observables, spectral, edmd, transfer, bench, cli)
+
+
+def _load(monkeypatch, name):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tracing(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(monkeypatch, "tracing")
 
 
 def _snapshot():
@@ -55,3 +62,17 @@ def test_tracer_targets_resolve_and_restore(tracing):
         tracer.uninstall()
     assert _snapshot() == before
     assert maps.IntervalMap.__call__ is call
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_workload_configs_parse(monkeypatch, tmp_path, seed):
+    workloads = _load(monkeypatch, "workloads")
+    for name in workloads.WORKLOADS:
+        inputs = workloads.build_inputs(name, seed, tmp_path / name)
+        assert inputs.sweeps
+        for sweep in inputs.sweeps:
+            config = bench.sweep_config_from_file(sweep.config_path)
+            recipe = bench.figure_recipe(sweep.label)[1]
+            assert config.cells() == recipe.cells(), sweep.label
+            assert config.basis_kind == recipe.basis_kind
+            assert config.eigen_indices == recipe.eigen_indices

@@ -28,7 +28,8 @@ SKEW = 1.0 / np.sqrt(2.0)
 
 
 def affine_matrix_oracle(imap, n, rho):
-    """Independent route: expand sign*alpha*(alpha z + beta)^l with polypow."""
+    """Independent route: expand sign*alpha*(alpha z + beta)^l with polypow,
+    in the orthonormal basis (z/rho)^n of the disk of radius rho."""
     l_mat = np.zeros((n, n))
     for branch in imap.branches:
         alpha, beta = branch.affine
@@ -59,9 +60,10 @@ class TestAffine:
 
     @pytest.mark.parametrize("rho", [1.0, 1.3])
     def test_binomial_expansion_oracle(self, rho):
+        # the (z/rho)^n basis conjugates the Taylor-basis matrix by diag(rho^n)
         imap = make_skewed_doubling(0.35)
-        tm = transfer_matrix_affine(imap, 8, rho=rho)
-        assert np.abs(tm.l - affine_matrix_oracle(imap, 8, rho)).max() < 1e-14
+        l_rho = scale_similarity(transfer_matrix_affine(imap, 8).l, rho)
+        assert np.abs(l_rho - affine_matrix_oracle(imap, 8, rho)).max() < 1e-14
 
     def test_nonaffine_rejected(self):
         with pytest.raises(NonAffineBranchError):
@@ -69,15 +71,16 @@ class TestAffine:
 
     def test_spectrum_rho_independent(self):
         imap = make_skewed_doubling(SKEW)
+        l_mat = transfer_matrix_affine(imap, 9).l
         for rho in (0.7, 1.0, 2.5):
-            tm = transfer_matrix_affine(imap, 9, rho=rho)
-            assert np.diag(tm.l) == pytest.approx(exact_spectrum_values(imap, 9).real)
+            values = eigenvalues(scale_similarity(l_mat, rho)).values
+            assert values == pytest.approx(exact_spectrum_values(imap, 9))
 
 
 class TestCauchy:
     def test_matches_affine_closed_form(self):
         imap = make_skewed_doubling(SKEW)
-        tm = transfer_matrix_analytic(imap, 10, rho=1.0, sample_radius=1.5)
+        tm = transfer_matrix_analytic(imap, 10, sample_radius=1.5)
         assert np.abs(tm.l - transfer_matrix_affine(imap, 10).l).max() < 1e-11
 
     def test_blaschke_mu_zero_degenerates_to_doubling(self):
@@ -99,9 +102,10 @@ class TestCauchy:
         assert max(misses_15) < max(misses_8)
 
     def test_rho_invariance_of_spectrum(self):
-        imap = make_blaschke(0.25)
-        v1 = eigenvalues(transfer_matrix_analytic(imap, 10, rho=1.0).l).values
-        v2 = eigenvalues(transfer_matrix_analytic(imap, 10, rho=1.3).l).values
+        # L_N in the (z/rho)^n basis of another Hardy disk has the same spectrum
+        l_mat = transfer_matrix_analytic(make_blaschke(0.25), 10).l
+        v1 = eigenvalues(l_mat).values
+        v2 = eigenvalues(scale_similarity(l_mat, 1.3)).values
         assert multiset_distance(v1, v2) < 1e-9
 
     def test_projection_commutes_for_affine_maps(self):
@@ -215,10 +219,6 @@ class TestBounds:
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: transfer_matrix_affine(make_skewed_doubling(SKEW), 4, rho=math.nan),
-                     id="affine-rho"),
-        pytest.param(lambda: transfer_matrix_analytic(make_blaschke(0.3), 4, rho=math.nan),
-                     id="cauchy-rho"),
         pytest.param(lambda: transfer_matrix_analytic(make_blaschke(0.3), 4, sample_radius=math.nan),
                      id="cauchy-sample-radius"),
         pytest.param(lambda: scale_similarity(np.eye(3), math.nan), id="scale-similarity-rho"),
