@@ -21,6 +21,7 @@ import numpy as np
 
 from .edmd import (
     DEFAULT_EPS_PINV,
+    EdmdPair,
     build_finite,
     build_infinite,
     edmd_spectrum,
@@ -36,6 +37,7 @@ __all__ = [
     "MatchResult",
     "SweepConfig",
     "SweepRecord",
+    "FinitePairs",
     "RadiusRecord",
     "match_spectra",
     "run_sweep",
@@ -174,15 +176,50 @@ class SweepConfig:
         return [(n, m) for n in self.n_values for m in self.m_values]
 
 
-def _run_cell(config: SweepConfig, n: int, m: int | None) -> list[SweepRecord]:
+class FinitePairs:
+    """The finite-node pairs of a config's grid, one build per node count.
+
+    Each distinct M gets one build_finite, at the largest N that any cell
+    at that M asks for, made when a cell at that M first needs it; every
+    cell then takes the leading block.  Only the pair's N x N matrices are
+    kept, never the observable tables.  A failed build is raised again
+    for every cell at that M.
+    """
+
+    def __init__(self, config: SweepConfig) -> None:
+        self._config = config
+        self._n_max: dict[int, int] = {}
+        for n, m in config.cells():
+            if m is not None:
+                self._n_max[m] = max(n, self._n_max.get(m, 0))
+        self._built: dict[int, EdmdPair | EdmdMapError] = {}
+
+    def pair(self, n: int, m: int) -> EdmdPair:
+        if m not in self._built:
+            config = self._config
+            try:
+                basis = ObservableBasis(config.basis_kind, self._n_max[m])
+                nodes = nodes_equidistant(m, config.delta)
+                self._built[m] = build_finite(config.imap, basis, nodes)
+            except EdmdMapError as exc:
+                self._built[m] = exc
+        built = self._built[m]
+        if isinstance(built, EdmdMapError):
+            # its old traceback holds the failed build's frames, and so its tables
+            raise built.with_traceback(None)
+        return built.leading(n)
+
+
+def _run_cell(
+    config: SweepConfig, finite: FinitePairs, n: int, m: int | None
+) -> list[SweepRecord]:
     indices = config.eigen_indices if config.eigen_indices is not None else tuple(range(n))
     t0 = time.perf_counter()
     try:
-        basis = ObservableBasis(config.basis_kind, n)
         if m is None:
-            pair = build_infinite(config.imap, basis)
+            pair = build_infinite(config.imap, ObservableBasis(config.basis_kind, n))
         else:
-            pair = build_finite(config.imap, basis, nodes_equidistant(m, config.delta))
+            pair = finite.pair(n, m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankTruncationWarning)
             spec = edmd_spectrum(pair, config.eps_pinv)
@@ -208,8 +245,10 @@ def _run_cell(config: SweepConfig, n: int, m: int | None) -> list[SweepRecord]:
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the whole grid, one cell after another; rows come back in
-    grid order."""
-    return [record for n, m in config.cells() for record in _run_cell(config, n, m)]
+    grid order.  Finite-node cells share one pair per M (FinitePairs), and
+    a cell's wall_ms includes that build only if the cell triggered it."""
+    finite = FinitePairs(config)
+    return [record for n, m in config.cells() for record in _run_cell(config, finite, n, m)]
 
 
 class FitResult(NamedTuple):

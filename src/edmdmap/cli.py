@@ -15,8 +15,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .bench import (
     FIGURE_NAMES,
+    FinitePairs,
     figure_recipe,
     fourier_radius_study,
     parse_config,
@@ -27,7 +30,6 @@ from .bench import (
     write_radius_records,
     write_records,
 )
-from .edmd import build_finite, nodes_equidistant
 from .errors import ConfigError, EdmdMapError
 from .observables import MONOMIALS, gram_infinite, monomial_basis
 from .spectral import GAMMA, eigenvalues, pseudoinverse, schur_bound, spectral_norm
@@ -103,6 +105,34 @@ def _cmd_figure(args) -> int:
     return _write_sweep(recipe[1], args.out, f" ({args.name})")
 
 
+def _projection_report(imap, n_values) -> list[str]:
+    """The lines of the projection-bound section, computed in full before
+    any is printed; (r, R_disk) giving a non-finite rho, derivative-sum
+    estimate or bound is a configuration error."""
+    r, big_r = imap.expansion_params
+    rho = math.sqrt(r * big_r)
+    with np.errstate(all="ignore"):  # a huge R_disk overflows; caught below
+        sup = derivative_sum_estimate(imap, big_r)
+    bounds = []
+    if r < rho < big_r and math.isfinite(sup):  # an overflowed rho is inf, not below R_disk
+        bounds = [projection_error_bound(r, big_r, rho, n, sup) for n in n_values]
+    if not bounds or not all(math.isfinite(bound) for bound in bounds):
+        raise ConfigError(f"keys 'r' and 'R_disk': r = {r}, R_disk = {big_r} give rho = "
+                          f"{rho:.6g} and est. sup sum|phi'| = {sup:.6g}, so no finite "
+                          "projection bound")
+    flag = schedule_regime(r, big_r)
+    lines = [f"expansion params (uncertified): r = {r}, R = {big_r}; "
+             f"schedule regime r/R < 1/gamma: {flag}",
+             f"projection bound, rho = {rho:.6g}, est. sup sum|phi'| = {sup:.6g}:"]
+    for n, bound in zip(n_values, bounds):
+        line = f"  N={n:3d}  C((rho/R)^N + (r/rho)^N) = {bound:.6e}"
+        if flag:
+            # schedule-regime decay factor, up to an unspecified constant
+            line += f"   (gamma r/R)^(N/2) = {(GAMMA * r / big_r) ** (n / 2):.3e}"
+        lines.append(line)
+    return lines
+
+
 def _cmd_bounds(args) -> int:
     cfg = parse_config(read_config_text(args.config), "bounds")
     defaults = {"N": (10,)} if "schedule" in cfg else {"N": (10,), "M": (1000,)}
@@ -112,34 +142,23 @@ def _cmd_bounds(args) -> int:
         raise ConfigError(f"key 'basis': bounds reports on {MONOMIALS} only")
     d = imap.n_branches
     g_factor = max(imap.deriv_sup, 2.0 * (d - 1))
+    projection = None if imap.expansion_params is None else _projection_report(imap, n_values)
 
     print(f"map: {imap.spectrum_kind or 'custom'}, branches d = {d}, "
           f"||T'|| = {imap.deriv_sup:.6g}")
 
-    if imap.expansion_params is not None:
-        r, big_r = imap.expansion_params
-        rho = math.sqrt(r * big_r)
-        sup = derivative_sum_estimate(imap, big_r)
-        flag = schedule_regime(r, big_r)
-        print(f"expansion params (uncertified): r = {r}, R = {big_r}; "
-              f"schedule regime r/R < 1/gamma: {flag}")
-        print(f"projection bound, rho = {rho:.6g}, est. sup sum|phi'| = {sup:.6g}:")
-        for n in n_values:
-            line = (f"  N={n:3d}  C((rho/R)^N + (r/rho)^N) = "
-                    f"{projection_error_bound(r, big_r, rho, n, sup):.6e}")
-            if flag:
-                # schedule-regime decay factor, up to an unspecified constant
-                line += f"   (gamma r/R)^(N/2) = {(GAMMA * r / big_r) ** (n / 2):.3e}"
-            print(line)
+    if projection is not None:
+        print("\n".join(projection))
     else:
         print("no (r, R) expansion parameters in config; projection bound skipped")
 
     print("collocation bounds (monomials) vs measured spectral norms:")
+    finite = FinitePairs(config)
     for n, m in config.cells():
         if m is None:
             continue
         h_exact = gram_infinite(monomial_basis(n))
-        pair = build_finite(imap, monomial_basis(n), nodes_equidistant(m, config.delta))
+        pair = finite.pair(n, m)
         dh = spectral_norm(h_exact - pair.h)
         bound_h = 1.5 * n * n / m
         print(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"

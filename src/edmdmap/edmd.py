@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,6 +105,25 @@ class EdmdPair:
     @property
     def size(self) -> int:
         return self.h.shape[0]
+
+    def leading(self, n: int) -> EdmdPair:
+        """The pair of the first n observables: the leading n x n blocks.
+
+        Both dictionaries are prefix-nested (monomials x^k; Fourier 1,
+        cos 1, sin 1, cos 2, ...), so this is the pair of basis size n on
+        the same nodes, up to the rounding of the larger GEMM.
+        """
+        if not 1 <= n <= self.size:
+            raise ParameterError(f"leading block size {n} outside [1, {self.size}]")
+        extended = self.h_ext is not None
+        return replace(
+            self,
+            h=self.h[:n, :n],
+            g=self.g[:n, :n],
+            basis=ObservableBasis(self.basis.kind, n),
+            h_ext=self.h_ext[:n, :n] if extended else None,
+            g_ext=self.g_ext[:n, :n] if extended else None,
+        )
 
 
 def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> EdmdPair:

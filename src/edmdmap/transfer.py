@@ -60,19 +60,25 @@ def transfer_matrix_affine(imap: IntervalMap, size: int) -> TransferMatrix:
     of degree l, so the matrix is upper triangular with the transfer
     operator eigenvalues sum_l sign*alpha^(n+1) on the diagonal:
     L[k, l] = [z^k] sum_branches sign * alpha * (alpha z + beta)^l.
+    Column l + 1 of each branch follows from column l by one multiplication
+    by alpha z + beta.  Each branch maps [-1, 1] into itself, so
+    |alpha| + |beta| <= 1 and no coefficient exceeds |alpha|.
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    coeffs = []
-    for branch in imap.branches:
-        if branch.affine is None:
-            raise NonAffineBranchError("map has a branch without affine inverse coefficients")
-        coeffs.append((branch.sign, *branch.affine))
-    l_mat = np.zeros((size, size))
-    for sign, alpha, beta in coeffs:
-        for ell in range(size):
-            for k in range(ell + 1):
-                l_mat[k, ell] += sign * alpha ** (k + 1) * beta ** (ell - k) * math.comb(ell, k)
+    if any(branch.affine is None for branch in imap.branches):
+        raise NonAffineBranchError("map has a branch without affine inverse coefficients")
+    sign = np.array([float(branch.sign) for branch in imap.branches])[:, np.newaxis]
+    alpha, beta = np.array([branch.affine for branch in imap.branches]).T[:, :, np.newaxis]
+    # per-branch coefficients of sign * alpha * (alpha z + beta)^l, l = 0, 1, ...
+    column = np.zeros((imap.n_branches, size))
+    column[:, :1] = sign * alpha
+    l_mat = np.empty((size, size))
+    for ell in range(size):
+        if ell:
+            column[:, 1:] = alpha * column[:, :-1] + beta * column[:, 1:]
+            column[:, :1] *= beta
+        l_mat[:, ell] = column.sum(axis=0)
     return TransferMatrix(l=l_mat, method="affine_closed_form")
 
 

@@ -1,14 +1,16 @@
 """Harness: matching, sweeps, CSV round-trip, fits, config parsing."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edmdmap import edmd
+from edmdmap import bench, edmd
 from edmdmap.bench import (
+    FinitePairs,
     SweepConfig,
     SweepRecord,
     figure_recipe,
@@ -22,9 +24,16 @@ from edmdmap.bench import (
     sweep_config_from_text,
     write_records,
 )
-from edmdmap.errors import ConfigError, InsufficientDataError, ParameterError, RankTruncationWarning
+from edmdmap.edmd import build_finite, nodes_equidistant
+from edmdmap.errors import (
+    ConfigError,
+    InsufficientDataError,
+    MapDomainError,
+    ParameterError,
+    RankTruncationWarning,
+)
 from edmdmap.maps import make_blaschke, make_skewed_doubling
-from edmdmap.observables import FOURIER, MONOMIALS
+from edmdmap.observables import FOURIER, MONOMIALS, fourier_basis, monomial_basis
 
 SKEW = 1.0 / np.sqrt(2.0)
 
@@ -251,6 +260,104 @@ class TestRunSweep:
                 basis_kind=MONOMIALS,
                 n_values=(4,),
             )
+
+
+class TestSharedFinitePairs:
+    """run_sweep builds one finite pair per M, at the largest N asked for
+    there, and gives each cell its leading block."""
+
+    @staticmethod
+    def _count_builds(monkeypatch, fail_at=None):
+        calls = []
+
+        def counting(imap, basis, nodes):
+            calls.append((basis.size, nodes.m))
+            if nodes.m == fail_at:
+                raise MapDomainError("observables evaluated outside [-1, 1]")
+            return build_finite(imap, basis, nodes)
+
+        monkeypatch.setattr(bench, "build_finite", counting)
+        return calls
+
+    def test_one_build_per_m_at_largest_n(self, monkeypatch):
+        config = figure_recipe("fig2.4")[1]
+        calls = self._count_builds(monkeypatch)
+        records = run_sweep(config)
+        assert sorted(calls) == sorted((16, m) for m in config.m_values)
+        assert all(rec.status == "ok" for rec in records)
+
+    def test_largest_n_cell_identical_to_its_own_build(self):
+        config = figure_recipe("fig2.4")[1]
+        shared = {(rec.n_observables, rec.m_nodes, rec.index): replace(rec, wall_ms=0.0)
+                  for rec in run_sweep(config)}
+        pairs = FinitePairs(config)
+        for m in config.m_values:
+            direct = build_finite(config.imap, monomial_basis(16), nodes_equidistant(m))
+            pair = pairs.pair(16, m)
+            assert np.array_equal(pair.h, direct.h) and np.array_equal(pair.g, direct.g)
+            alone = run_sweep(replace(config, n_values=(16,), m_values=(m,)))
+            for rec in alone:
+                assert shared[(16, m, rec.index)] == replace(rec, wall_ms=0.0)
+
+    def test_leading_block_eigenvalues_within_conditioning(self):
+        # the blocks differ from a direct build only by the GEMM's rounding,
+        # which the pencil amplifies by cond(H) and the eigenvalue condition
+        # numbers kappa_i = |x_i| |y_i| / |y_i^H x_i|
+        config = figure_recipe("fig2.4")[1]
+        pairs = FinitePairs(config)
+        eps = np.finfo(float).eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RankTruncationWarning)
+            for n, m in config.cells():
+                if n == max(config.n_values):
+                    continue
+                direct = build_finite(config.imap, monomial_basis(n), nodes_equidistant(m))
+                _, right = np.linalg.eig(np.linalg.solve(direct.h, direct.g))
+                left = np.linalg.inv(right)
+                kappa = (np.linalg.norm(right, axis=0) * np.linalg.norm(left, axis=1)
+                         / np.abs(np.einsum("ij,ji->i", left, right)))
+                tol = eps * np.linalg.cond(direct.h) * kappa.max()
+                moved = match_spectra(edmd.edmd_spectrum(pairs.pair(n, m)),
+                                      edmd.edmd_spectrum(direct), n).delta
+                assert moved.max() <= tol, (n, m, moved.max(), tol)
+
+    def test_fourier_leading_block_matches_direct_build(self):
+        imap, nodes = make_skewed_doubling(SKEW), nodes_equidistant(3000)
+        full = build_finite(imap, fourier_basis(21), nodes)
+        for n in (1, 3, 9, 21):
+            block, direct = full.leading(n), build_finite(imap, fourier_basis(n), nodes)
+            assert block.basis == direct.basis
+            assert np.abs(block.h - direct.h).max() <= 1e-15
+            assert np.abs(block.g - direct.g).max() <= 1e-15
+
+    def test_failed_build_marks_every_cell_at_its_m_only(self, monkeypatch):
+        config = SweepConfig(
+            imap=make_skewed_doubling(SKEW),
+            basis_kind=MONOMIALS,
+            n_values=(3, 5, 4),
+            m_values=(100, 200, None),
+            eigen_indices=(0, 1),
+        )
+        calls = self._count_builds(monkeypatch, fail_at=200)
+        records = run_sweep(config)
+        assert sorted(calls) == [(5, 100), (5, 200)]
+        failed = {rec.status for rec in records if rec.m_nodes == 200}
+        assert failed == {"MapDomainError: observables evaluated outside [-1; 1]"}
+        assert all(rec.status == "ok" for rec in records if rec.m_nodes != 200)
+
+    def test_rows_follow_grid_order(self):
+        config = SweepConfig(
+            imap=make_blaschke(0.3),
+            basis_kind=MONOMIALS,
+            n_values=(5, 3, 4),
+            m_values=(300, None, 100),
+            eigen_indices=(0, 2),
+        )
+        rows = [(rec.n_observables, rec.m_nodes, rec.index) for rec in run_sweep(config)]
+        assert rows == [(n, m, i) for n, m in config.cells() for i in (0, 2)]
+        schedule = replace(config, m_values=(), schedule=("quadratic", 10.0))
+        rows = [(rec.n_observables, rec.m_nodes) for rec in run_sweep(schedule)]
+        assert rows[::2] == schedule.cells()
 
 
 class TestFitDecay:

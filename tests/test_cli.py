@@ -150,6 +150,17 @@ def test_bounds_rho_outside_disk_exit_one(tmp_path, capsys):
     assert captured.out == "" and "'rho'" in captured.err
 
 
+
+def test_bounds_nonfinite_rho_exit_one_before_output(tmp_path, capsys):
+    # r * R_disk overflows, so rho = sqrt(r * R_disk) is inf
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"map = skewed_doubling\na = {SKEW}\nN = 5\nr = 1e200\nR_disk = 1e300\n")
+    assert main(["bounds", "--config", str(path)]) == 1  # and no numpy warning
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert "'r'" in captured.err and "'R_disk'" in captured.err
+
 def test_bounds_measures_on_configured_nodes(tmp_path, capsys):
     base = f"map = skewed_doubling\na = {SKEW}\nN = 5,8\nM = 200\n"
     reports = []

@@ -152,6 +152,22 @@ class TestBuildInfinite:
         assert np.abs(pair.h_ext.astype(float) - pair.h).max() == 0.0
 
 
+class TestLeading:
+    def test_size_checked(self):
+        pair = build_finite(make_skewed_doubling(SKEW), monomial_basis(4), nodes_equidistant(10))
+        for n in (0, 5):
+            with pytest.raises(ParameterError):
+                pair.leading(n)
+
+    def test_extended_copies_follow_the_block(self):
+        imap = make_skewed_doubling(0.3)
+        block = build_infinite(imap, monomial_basis(6)).leading(4)
+        assert np.array_equal(block.h_ext, gram_infinite(monomial_basis(4), dtype=np.longdouble))
+        assert block.g_ext.shape == (4, 4) and block.basis == monomial_basis(4)
+        direct = edmd_spectrum(build_infinite(imap, monomial_basis(4)))
+        assert multiset_distance(edmd_spectrum(block).values, direct.values) < 1e-12
+
+
 class TestEdmdSpectrum:
     def test_diagonal_pair(self):
         pair = EdmdPair(

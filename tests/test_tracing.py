@@ -76,3 +76,23 @@ def test_workload_configs_parse(monkeypatch, tmp_path, seed):
             assert config.cells() == recipe.cells(), sweep.label
             assert config.basis_kind == recipe.basis_kind
             assert config.eigen_indices == recipe.eigen_indices
+
+
+def test_finite_sweep_builds_one_pair_per_m(tracing):
+    # edmd.gemm spans and gemm_flops count the per-M builds that run_sweep shares
+    config = bench.SweepConfig(
+        imap=make_skewed_doubling(0.3),
+        basis_kind="monomials",
+        n_values=(3, 6, 4),
+        m_values=(50, None, 120),
+        eigen_indices=(0,),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        records = bench.run_sweep(config)
+    finally:
+        tracer.uninstall()
+    assert all(rec.status == "ok" for rec in records)
+    assert [s[0] for s in tracer.spans].count("edmd.gemm") == 2
+    assert tracer.counts["edmd.gemm_flops"] == 4 * 6 * 6 * 50 + 4 * 6 * 6 * 120

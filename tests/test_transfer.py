@@ -62,8 +62,26 @@ class TestAffine:
     def test_binomial_expansion_oracle(self, rho):
         # the (z/rho)^n basis conjugates the Taylor-basis matrix by diag(rho^n)
         imap = make_skewed_doubling(0.35)
-        l_rho = scale_similarity(transfer_matrix_affine(imap, 8).l, rho)
-        assert np.abs(l_rho - affine_matrix_oracle(imap, 8, rho)).max() < 1e-14
+        for size in (8, 40):
+            l_rho = scale_similarity(transfer_matrix_affine(imap, size).l, rho)
+            assert np.abs(l_rho - affine_matrix_oracle(imap, size, rho)).max() < 1e-14
+
+    def test_large_size_stays_finite(self):
+        # the coefficients sum to at most 1, while binomials such as
+        # math.comb(1030, 515) no longer convert to float
+        imap = make_skewed_doubling(SKEW)
+        l_mat = transfer_matrix_affine(imap, 1100).l
+        assert np.isfinite(l_mat).all() and np.abs(l_mat).max() <= 1.0
+        exact = exact_spectrum_values(imap, 1100).real
+        assert np.diag(l_mat) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a", [SKEW, 0.5, 0.8])
+    def test_leading_eigenvalues_at_rounding(self, a):
+        imap = make_skewed_doubling(a)
+        exact = exact_spectrum_values(imap, 6)
+        for n in (10, 20, 30, 40):
+            values = eigenvalues(transfer_matrix_affine(imap, n).l).values[:6]
+            assert np.abs(values - exact).max() <= 1e-15
 
     def test_nonaffine_rejected(self):
         with pytest.raises(NonAffineBranchError):
