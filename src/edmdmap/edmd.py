@@ -69,7 +69,10 @@ def nodes_equidistant(m: int, delta: float | None = None) -> NodeSet:
         delta = 1.0 / m
     if not 0.0 <= delta <= 2.0 / m:
         raise ParameterError(f"node offset delta = {delta} outside [0, 2/M]")
-    nodes = -1.0 + delta + 2.0 * np.arange(m) / m
+    try:
+        nodes = -1.0 + delta + 2.0 * np.arange(m) / m
+    except (MemoryError, ValueError):  # allocation refused, or bytes past numpy's size range
+        raise ParameterError(f"node count M = {m} too large to allocate its nodes") from None
     return NodeSet(m=m, delta=float(delta), nodes=nodes)
 
 
@@ -111,7 +114,8 @@ class EdmdPair:
 
         Both dictionaries are prefix-nested (monomials x^k; Fourier 1,
         cos 1, sin 1, cos 2, ...), so this is the pair of basis size n on
-        the same nodes, up to the rounding of the larger GEMM.
+        the same nodes, up to rounding: a larger finite build sums over
+        chunks of fewer nodes (build_finite), so its sums round differently.
         """
         if not 1 <= n <= self.size:
             raise ParameterError(f"leading block size {n} outside [1, {self.size}]")
@@ -126,12 +130,31 @@ class EdmdPair:
         )
 
 
+def _chunk_nodes(size: int) -> int:
+    """Nodes per build_finite chunk: an (N, c) float64 table stays within 1 MiB."""
+    return max(1, 2**17 // size)
+
+
 def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> EdmdPair:
-    """Empirical pair: H, G as averages of observable products over the nodes."""
-    psi_x = eval_basis(basis, nodes.nodes)
-    psi_tx = eval_basis(basis, imap(nodes.nodes))
-    h = psi_x @ psi_x.T / nodes.m
-    g = psi_tx @ psi_x.T / nodes.m
+    """Empirical pair: H, G as averages of observable products over the nodes.
+
+    The sums run over chunks of c = _chunk_nodes(N) nodes, so memory is O(N*c)
+    beside the node array and no (N, M) observable table is ever built.
+    H is a sum of exactly symmetric chunk Gram products (x @ x.T takes the
+    symmetric rank-k BLAS update), so it is exactly symmetric.
+    """
+    size = basis.size
+    step = _chunk_nodes(size)
+    h = np.zeros((size, size))
+    g = np.zeros((size, size))
+    for lo in range(0, nodes.m, step):
+        x = nodes.nodes[lo : lo + step]
+        psi_x = eval_basis(basis, x)
+        psi_tx = eval_basis(basis, imap(x))
+        h += psi_x @ psi_x.T
+        g += psi_tx @ psi_x.T
+    h /= nodes.m
+    g /= nodes.m
     return EdmdPair(
         h=h,
         g=g,

@@ -227,6 +227,28 @@ def test_partial_sweep_exit_three(tmp_path, monkeypatch):
     assert statuses[None].startswith("QuadratureError")
 
 
+HUGE_M = "map = skewed_doubling\na = 0.5\nbasis = monomials\nschedule = corollary1(2)\n"
+
+
+def test_unallocatable_node_count_fails_its_cells(tmp_path, capsys):
+    # corollary1(2) gives N = 40 the node count 40^2 * 2^40 (12.5 PiB of
+    # nodes); numpy refuses the allocation at once, so nothing is touched
+    huge_m = 40**2 * 2**40
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_M + "N = 4,40\n")
+    out_csv = str(tmp_path / "huge.csv")
+    assert main(["sweep", "--config", str(path), "--out", out_csv]) == 3
+    statuses = {rec.m_nodes: rec.status for rec in read_records(out_csv)}
+    assert statuses[256] == "ok"
+    assert statuses[huge_m].startswith("ParameterError") and str(huge_m) in statuses[huge_m]
+    capsys.readouterr()
+    path.write_text(HUGE_M + "N = 40\n")
+    assert main(["spectrum", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"M = {huge_m}" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_fourier_blaschke_infinite_cells_settle(tmp_path):
     # the quadrature order doubles past the default until the cross matrix settles
     path = tmp_path / "fourier.cfg"

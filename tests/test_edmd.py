@@ -1,5 +1,7 @@
 """EDMD matrix pairs: node sets, finite/infinite builders, eigensolve, schedule."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from edmdmap.errors import (
     RankTruncationWarning,
 )
 from edmdmap.maps import exact_spectrum_values, make_blaschke, make_skewed_doubling
-from edmdmap.observables import fourier_basis, gram_infinite, monomial_basis
+from edmdmap.observables import eval_basis, fourier_basis, gram_infinite, monomial_basis
 from edmdmap.spectral import scale_similarity, eigenvalues, spectral_norm
 from edmdmap.transfer import transfer_matrix_affine
 
@@ -64,6 +66,12 @@ class TestNodes:
         with pytest.raises(ParameterError):
             nodes_equidistant(0)
 
+    @pytest.mark.parametrize("m", [2**50, 2**60])
+    def test_unallocatable_count_names_m(self, m):
+        # 8 PiB and 8 EiB of nodes: numpy refuses either allocation at once
+        with pytest.raises(ParameterError, match=f"M = {m} "):
+            nodes_equidistant(m)
+
 
 class TestBuildFinite:
     def test_constant_observable(self):
@@ -93,6 +101,34 @@ class TestBuildFinite:
     def test_provenance(self):
         pair = build_finite(make_skewed_doubling(0.3), monomial_basis(3), nodes_equidistant(8, 0.1))
         assert pair.provenance == Provenance("finite", m=8, delta=0.1)
+
+    @pytest.mark.parametrize("basis", [monomial_basis(16), fourier_basis(49)],
+                             ids=["mono16", "fourier49"])
+    @pytest.mark.parametrize("offset", [None, 0.3], ids=["midpoint", "offset"])
+    def test_chunk_boundaries_match_full_table(self, basis, offset):
+        imap, c = make_blaschke(0.3), edmd._chunk_nodes(basis.size)
+        for m in (1, c - 1, c, c + 1, 3 * c + 5):
+            nodes = nodes_equidistant(m, None if offset is None else offset * 2.0 / m)
+            psi_x = eval_basis(basis, nodes.nodes)
+            psi_tx = eval_basis(basis, imap(nodes.nodes))
+            h, g = psi_x @ psi_x.T / m, psi_tx @ psi_x.T / m
+            pair = build_finite(imap, basis, nodes)
+            assert np.array_equal(pair.h, pair.h.T)
+            if m <= c:  # one chunk is the whole table
+                assert np.array_equal(pair.h, h) and np.array_equal(pair.g, g)
+            assert np.abs(pair.h - h).max() <= 1e-14
+            assert np.abs(pair.g - g).max() <= 1e-14
+
+    def test_memory_bounded_by_chunk(self):
+        # a whole (16, 10^6) table pair is 256 MB; one chunk's tables are 2 MiB
+        imap, basis, nodes = make_blaschke(0.3), monomial_basis(16), nodes_equidistant(10**6)
+        tracemalloc.start()
+        try:
+            build_finite(imap, basis, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestBuildInfinite:
