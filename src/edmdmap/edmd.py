@@ -92,9 +92,9 @@ class EdmdPair:
 
     ``h``/``g`` are the double-precision working matrices.  Infinite-node
     monomial pairs additionally carry 80-bit copies (``h_ext``/``g_ext``):
-    the exact eigenvalues of small Gram pencils sit below the float64
-    representation floor, so the high-accuracy solve needs entries carried
-    above double precision.
+    rounding their Hilbert-like entries to float64 already moves the
+    eigenvalues by more than 1e-9 around N = 10-12, so the high-accuracy
+    solve needs entries carried above double precision.
     """
 
     h: np.ndarray
@@ -272,7 +272,9 @@ def edmd_spectrum(pair: EdmdPair, eps: float = DEFAULT_EPS_PINV) -> Spectrum:
     When no singular value falls below the eps cutoff the pseudoinverse is
     the plain inverse, and pairs carrying 80-bit entries are solved in
     extended precision (the float64 entry rounding alone already perturbs
-    small-Gram eigenvalues by more than 1e-9).  If the truncation removed
+    small-Gram eigenvalues by more than 1e-9): H^-1 G by 80-bit Gaussian
+    elimination, its eigenvalues by LAPACK plus one longdouble correction
+    step (spectral.qr_eigenvalues).  If the truncation removed
     singular values, a RankTruncationWarning is issued, the count is
     reported in the metadata, and the double-precision route is used.
     """

@@ -38,7 +38,7 @@ class QuadratureError(EdmdMapError):
 
 
 class ConvergenceError(EdmdMapError):
-    """Dense eigenvalue iteration hit its sweep cap before deflating."""
+    """LAPACK's dense eigenvalue iteration failed to converge."""
 
 
 class RangeOverflowError(EdmdMapError):

@@ -3,8 +3,8 @@
 Double-precision input goes to LAPACK through numpy: eigenvalues by
 *geev, singular values (pseudoinverse, spectral norm) by *gesdd.
 Extended-precision (longdouble) input, which LAPACK does not cover, goes
-to the in-house qr_eigenvalues (balancing, Hessenberg reduction, shifted
-QR capped at 30 sweeps per eigenvalue) and to the Gaussian elimination of
+to qr_eigenvalues (LAPACK on the float64 rounding plus one longdouble
+correction step per eigenvalue) and to the Gaussian elimination of
 solve_gauss.  All spectra are reported in complex arithmetic and sorted
 by descending modulus.
 """
@@ -77,8 +77,9 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
     """All eigenvalues of a dense square matrix, with multiplicity.
 
     Real and complex double input goes to LAPACK as it is (real input keeps
-    conjugate pairs exact); extended-precision input is handled by the
-    in-house QR iteration of qr_eigenvalues, which LAPACK does not cover.
+    conjugate pairs exact); extended-precision input, which LAPACK does not
+    cover, goes to qr_eigenvalues, which corrects the LAPACK eigenvalues of
+    its float64 rounding in longdouble.
     """
     a = _as_square(a)
     if a.shape[0] > _MAX_DIM:
@@ -87,153 +88,47 @@ def eigenvalues(a: np.ndarray) -> Spectrum:
         return Spectrum(values=sort_eigenvalues(qr_eigenvalues(a)))
     try:
         vals = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # QR sweep cap exhausted
+    except np.linalg.LinAlgError as exc:  # LAPACK's QR iteration did not converge
         raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
     return Spectrum(values=sort_eigenvalues(vals))
 
 
-def _balance(a: np.ndarray, radix: float = 2.0) -> np.ndarray:
-    """Diagonal similarity with radix powers equalizing row/column 1-norms."""
-    a = a.copy()
-    n = a.shape[0]
-    moved = True
-    while moved:
-        moved = False
-        for i in range(n):
-            c = float(np.abs(a[:, i]).sum() - abs(a[i, i]))
-            r = float(np.abs(a[i, :]).sum() - abs(a[i, i]))
-            if c == 0.0 or r == 0.0:
-                continue
-            f, s = 1.0, c + r
-            while c < r / radix:
-                c *= radix
-                r /= radix
-                f *= radix
-            while c >= r * radix:
-                c /= radix
-                r *= radix
-                f /= radix
-            if c + r < 0.95 * s:
-                moved = True
-                a[i, :] /= f
-                a[:, i] *= f
-    return a
+def qr_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Dense eigenvalues to the precision of the input's own dtype.
 
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Unitary reduction to upper Hessenberg form by Householder reflectors.
-
-    Norms are accumulated in the working dtype so extended precision is
-    not silently lost.
-    """
-    a = a.copy()
-    n = a.shape[0]
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm_x = np.sqrt((np.abs(x) ** 2).sum())
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += phase * norm_x
-        v /= np.sqrt((np.abs(v) ** 2).sum())
-        a[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ a[k + 1 :, k:])
-        a[:, k + 1 :] -= 2.0 * np.outer(a[:, k + 1 :] @ v, v.conj())
-        a[k + 2 :, k] = 0.0
-    return a
-
-
-def _wilkinson_shift(h: np.ndarray) -> complex:
-    """Eigenvalue of the trailing 2x2 block closest to its lower-right entry."""
-    a, b = h[-2, -2], h[-2, -1]
-    c, d = h[-1, -2], h[-1, -1]
-    half = (a - d) / 2.0
-    disc = np.sqrt(half * half + b * c)
-    lo, hi = d + half - disc, d + half + disc
-    return lo if abs(lo - d) <= abs(hi - d) else hi
-
-
-def qr_eigenvalues(a: np.ndarray, sweep_cap: int = 30) -> np.ndarray:
-    """Dense eigenvalues by balancing, Hessenberg reduction and shifted QR.
-
-    Works in the dtype of the input (promoted to its complex counterpart),
-    so extended-precision matrices stay extended.  At most ``sweep_cap``
-    sweeps are spent per eigenvalue; on failure the ConvergenceError
-    carries the eigenvalues deflated so far in its ``partial`` attribute.
+    LAPACK (*geev) solves the float64/complex128 rounding of ``a``; the rows
+    of the inverse eigenvector matrix are the left eigenvectors y_i.  One
+    first-order correction per eigenvalue, lambda_i += y_i r_i / (y_i x_i)
+    with the residual r_i = A x_i - lambda_i x_i taken in longdouble
+    (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal. 20, 1983), then
+    recovers the accuracy the float64 rounding lost.  A correction is kept
+    only when it is below 1e-3 of the distance to the nearest other
+    eigenvalue, where first-order perturbation theory holds; clustered or
+    defective eigenvalues keep their LAPACK value.  Real eigenvalues of real
+    input stay exactly real.  The result has the complex counterpart of the
+    input dtype.
     """
     a = _as_square(a)
-    n = a.shape[0]
     ctype = np.result_type(a.dtype, np.complex64)
-    eps = float(np.finfo(ctype).eps)
-    h = _hessenberg(_balance(a.astype(ctype)))
-    found: list = []
-    hi = n
-    sweeps = 0
-    while hi > 0:
-        if hi == 1:
-            found.append(h[0, 0])
-            hi -= 1
-            continue
-        # deflate converged subdiagonal entries of the active block
-        m = hi - 1
-        while m > 0 and abs(h[m, m - 1]) > eps * (abs(h[m - 1, m - 1]) + abs(h[m, m])):
-            m -= 1
-        if m > 0:
-            h[m, m - 1] = 0.0
-        if m == hi - 1:
-            found.append(h[hi - 1, hi - 1])
-            hi -= 1
-            sweeps = 0
-            continue
-        if sweeps >= sweep_cap:
-            err = ConvergenceError(
-                f"QR iteration exceeded {sweep_cap} sweeps for one eigenvalue "
-                f"({n - len(found)} remaining)"
-            )
-            err.partial = np.asarray(found, dtype=ctype)
-            raise err
-        # occasional ad-hoc shift breaks symmetric stalls
-        if sweeps % 10 == 9:
-            shift = h[hi - 1, hi - 1] + 0.9 * abs(h[hi - 1, hi - 2])
-        else:
-            shift = _wilkinson_shift(h[m:hi, m:hi])
-        _qr_sweep(h, m, hi, shift)
-        sweeps += 1
-    return np.asarray(found, dtype=ctype)
-
-
-def _qr_sweep(h: np.ndarray, lo: int, hi: int, shift) -> None:
-    """One explicit shifted QR step (H - sI = QR, H <- RQ + sI) on the
-    Hessenberg block h[lo:hi, lo:hi], updated in place."""
-    b = h[lo:hi, lo:hi]
-    m = hi - lo
-    diag = np.arange(m)
-    b[diag, diag] -= shift
-    rotations = []
-    for k in range(m - 1):
-        c, s, r = _givens(b[k, k], b[k + 1, k])
-        rotations.append((c, s))
-        row_a, row_b = b[k, k:].copy(), b[k + 1, k:].copy()
-        b[k, k:] = c * row_a + s * row_b
-        b[k + 1, k:] = -np.conj(s) * row_a + c * row_b
-        b[k, k] = r
-        b[k + 1, k] = 0.0
-    for k, (c, s) in enumerate(rotations):
-        col_a, col_b = b[: k + 2, k].copy(), b[: k + 2, k + 1].copy()
-        b[: k + 2, k] = c * col_a + np.conj(s) * col_b
-        b[: k + 2, k + 1] = -s * col_a + c * col_b
-    b[diag, diag] += shift
-
-
-def _givens(f, g):
-    """Complex Givens pair (c real, s) with [[c, s], [-conj(s), c]] @ (f, g) = (r, 0)."""
-    if g == 0:
-        return 1.0, g * 0.0, f
-    if f == 0:
-        return 0.0, np.conj(g) / abs(g), abs(g)
-    d = np.sqrt(abs(f) ** 2 + abs(g) ** 2)
-    phase = f / abs(f)
-    return abs(f) / d, phase * np.conj(g) / d, phase * d
+    try:
+        lam, x = np.linalg.eig(a.astype(complex if np.iscomplexobj(a) else float))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    lam = lam.astype(complex)
+    try:
+        y = np.linalg.inv(x)
+    except np.linalg.LinAlgError:  # exactly defective: no first-order step exists
+        return lam.astype(ctype)
+    with np.errstate(all="ignore"):
+        xe = x.astype(np.clongdouble)
+        residual = a.astype(np.clongdouble) @ xe - xe * lam
+        corr = np.einsum("ij,ji->i", y, residual) / np.einsum("ij,ji->i", y, xe)
+        gap = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :])
+        np.fill_diagonal(gap, np.inf)
+        keep = np.abs(corr) <= 1e-3 * gap.min(axis=1, initial=np.inf)
+    if not np.iscomplexobj(a):
+        corr = np.where(lam.imag == 0.0, corr.real, corr)
+    return (lam + np.where(keep, corr, 0.0)).astype(ctype)
 
 
 def solve_gauss(a: np.ndarray, b: np.ndarray) -> np.ndarray:

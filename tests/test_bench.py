@@ -180,6 +180,17 @@ class TestRunSweep:
         assert records[0].eps_rank == 1
         assert not [w for w in caught if issubclass(w.category, RankTruncationWarning)]
 
+    def test_fig22_real_eigenvalues_print_zero_imaginary_part(self):
+        # the untruncated cells (N = 6..17) run the 80-bit route on a real
+        # pencil: a real eigenvalue carries no rounding-level imaginary part,
+        # and the rows that are not real are members of genuine complex pairs
+        records = run_sweep(figure_recipe("fig2.2")[1])
+        untruncated = [rec for rec in records if rec.status == "ok" and rec.eps_rank == 0]
+        assert sorted({rec.n_observables for rec in untruncated}) == list(range(6, 18))
+        real = [rec for rec in untruncated if rec.approx.imag == 0.0]
+        assert len(real) == 50
+        assert all(abs(rec.approx.imag) > 1e-3 for rec in untruncated if rec not in real)
+
     def test_schedule_driven_sweep_end_to_end(self):
         config = SweepConfig(
             imap=make_skewed_doubling(SKEW),

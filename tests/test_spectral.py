@@ -96,12 +96,53 @@ class TestQrEigenvalues:
         assert np.abs(values - 0.5).max() < 1e-2  # eps^(1/6) clustering is expected
         assert abs(np.prod(values) - 0.5**6) < 1e-6
 
-    def test_sweep_cap_carries_partials(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((6, 6))
-        with pytest.raises(ConvergenceError) as info:
-            qr_eigenvalues(a, sweep_cap=0)
-        assert hasattr(info.value, "partial")
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(ConvergenceError):
+            qr_eigenvalues(np.eye(3, dtype=np.longdouble))
+
+    def test_correction_recovers_extended_precision(self):
+        # P T P^T has the eigenvalues diag(T) exactly; none of them is a
+        # float64 number, so LAPACK on the float64 rounding misses each one
+        rng = np.random.default_rng(21)
+        diag = np.longdouble(1) / np.array([3, -5, 7, 11, -13, 17, 19, 23], dtype=np.longdouble)
+        n = len(diag)
+        t = np.diag(diag) + np.triu(rng.uniform(-1.0, 1.0, (n, n)).astype(np.longdouble), 1)
+        perm = np.eye(n, dtype=np.longdouble)[rng.permutation(n)]
+        a = perm @ t @ perm.T
+        exact = np.sort(diag)
+        lapack = np.sort(np.linalg.eigvals(a.astype(float)).real).astype(np.longdouble)
+        assert float(np.max(np.abs(lapack - exact) / np.abs(exact))) > 1e-17
+        values = qr_eigenvalues(a)
+        assert np.all(values.imag == 0.0)
+        assert float(np.max(np.abs(np.sort(values.real) - exact) / np.abs(exact))) < 1e-18
+
+    def test_guard_skips_steps_on_near_defective_pair(self):
+        # S diag-plus-one S^-1 with eigenvalues 1 and 1 + 1e-9: the first-order
+        # step is meaningless at that gap and, taken, moves each value by ~1e-3
+        s = np.array([[2, 1], [1, 3]], dtype=np.longdouble)
+        s_inv = np.array([[3, -1], [-1, 2]], dtype=np.longdouble) / 5
+        t = np.array([[1, 1], [0, 1 + np.longdouble(1e-9)]], dtype=np.longdouble)
+        values = qr_eigenvalues(s @ t @ s_inv)
+        assert np.all(np.isfinite(values))
+        assert multiset_distance(values.astype(complex), [1.0, 1.0 + 1e-9]) < 1e-6
+
+    def test_singular_eigenvector_matrix_keeps_lapack_values(self):
+        # LAPACK returns an exactly singular X for the 3x3 nilpotent Jordan block
+        values = qr_eigenvalues(np.diag(np.ones(2, dtype=np.longdouble), 1))
+        assert values.dtype == np.clongdouble
+        assert np.array_equal(values, np.zeros(3))
+
+    def test_real_input_real_eigenvalues_stay_real(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((12, 12)).astype(np.longdouble)
+        real = np.linalg.eigvals(a.astype(float)).imag == 0.0
+        values = qr_eigenvalues(a)
+        assert 0 < np.count_nonzero(real) < len(values)
+        assert np.count_nonzero(values.imag == 0.0) == np.count_nonzero(real)
 
     def test_longdouble_dispatch_through_eigenvalues(self):
         a = np.diag(np.asarray([2.0, 1.0], dtype=np.longdouble))

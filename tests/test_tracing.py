@@ -57,6 +57,7 @@ def test_tracer_targets_resolve_and_restore(tracing):
         spec = edmd.edmd_spectrum(edmd.build_infinite(make_skewed_doubling(0.3), monomial_basis(4)))
         assert len(spec) == 4
         assert tracer.counts["edmd.ext_route_cells"] == 1
+        assert tracer.counts["spectral.qr_ext_calls"] == 1
         assert {"edmd.build_infinite", "edmd.solve", "spectral.qr_ext"} <= {s[0] for s in tracer.spans}
     finally:
         tracer.uninstall()
