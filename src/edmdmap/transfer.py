@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, NonAffineBranchError, ParameterError
+from .errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
 from .maps import IntervalMap, _branch_on_circle
 from .observables import _power_rows
 
@@ -39,6 +39,7 @@ __all__ = [
 
 DEFAULT_SAMPLE_RADIUS = 1.1
 DEFAULT_SAMPLES = 4096
+_START_SAMPLES = 64
 
 _DERIV_SUM_POINTS = 720
 _DERIV_SUM_SAFETY = 1.05
@@ -99,45 +100,73 @@ def taylor_coefficients_on_circle(
     return coeffs * (scale[:, np.newaxis] if values_on_circle.ndim > 1 else scale)
 
 
+def _cauchy_rung(
+    imap: IntervalMap, size: int, radius: float, samples: int
+) -> tuple[np.ndarray, float]:
+    """Coefficients from the 2*samples circle and their largest move
+    against the samples circle (NaN or inf when an entry is not finite).
+
+    Raises BranchCutError when a branch fails the cut check on the
+    2*samples circle.
+    """
+    # the even points of the 2*samples circle are the samples circle exactly
+    # (2*pi*(2j)/(2S) rounds like 2*pi*j/S), so one evaluation serves both
+    count = 2 * samples
+    circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+    powers = np.empty((size, count), dtype=complex)
+    g = np.zeros((size, count), dtype=complex)
+    with np.errstate(all="ignore"):  # a radius far from 1 overflows; the caller checks
+        for index, branch in enumerate(imap.branches):
+            phi, dphi = _branch_on_circle(branch, index, circle, radius)
+            g += branch.sign * dphi * _power_rows(phi, powers)
+        # L[k, l] = [z^k] g_l(z)
+        fine = taylor_coefficients_on_circle(g.T, size, radius)
+        coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, radius)
+        return fine, float(np.abs(fine - coarse).max())
+
+
 def transfer_matrix_analytic(
     imap: IntervalMap, size: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS
 ) -> TransferMatrix:
     """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*phi(z)^l.
 
-    The sample count is DEFAULT_SAMPLES, raised to the next power of two
-    >= 4*size.  The inverse branches must be analytic on the closed disk of
-    the sampling radius: each branch and its derivative, evaluated once on
-    the 2*samples sampling circle, are checked for cut jumps there before
-    any power or FFT.  The result is accepted only if doubling the sample
-    count moves no entry by more than 1e-10; sample_radius must give a
-    finite matrix.
+    The sample count S climbs a ladder.  It starts at the next power of two
+    >= 4*size, at least 64, and doubles until doubling it moves no entry by
+    more than 1e-10; ``method`` names the count that settled.  The ceiling
+    is DEFAULT_SAMPLES, raised to the next power of two >= 4*size.  Each
+    rung evaluates every inverse branch and its derivative once on the 2*S
+    circle and checks them for cut jumps there before any power or FFT.
+    Below the ceiling a failed rung (cut jump, drift, non-finite entry)
+    only climbs: a pole just outside the circle makes coarse neighbours
+    jump.  The ceiling rung raises BranchCutError for a cut, ParameterError
+    for a non-finite matrix, and AliasingError for drift above 1e-10.
     """
     if size < 1:
         raise ParameterError("size must be positive")
     if not 0 < sample_radius < math.inf:
         raise ParameterError("sample radius must be positive and finite")
-    samples = max(DEFAULT_SAMPLES, 1 << (4 * size - 1).bit_length())
-    # the even points of the 2*samples circle are the samples circle exactly
-    # (2*pi*(2j)/(2S) rounds like 2*pi*j/S), so one evaluation serves both
-    count = 2 * samples
-    circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
-    powers = np.empty((size, count), dtype=complex)
-    g = np.zeros((size, count), dtype=complex)
-    with np.errstate(all="ignore"):  # a radius far from 1 overflows; caught below
-        for index, branch in enumerate(imap.branches):
-            phi, dphi = _branch_on_circle(branch, index, circle, sample_radius)
-            g += branch.sign * dphi * _power_rows(phi, powers)
-        # L[k, l] = [z^k] g_l(z)
-        fine = taylor_coefficients_on_circle(g.T, size, sample_radius)
-        coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius)
-        drift = float(np.abs(fine - coarse).max())
-    if not math.isfinite(drift):
-        raise ParameterError(f"sample radius {sample_radius} gives a non-finite transfer matrix")
-    if not drift <= 1e-10:
-        raise AliasingError(
-            f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
-            "reduce the sampling radius"
-        )
+    least = 1 << (4 * size - 1).bit_length()
+    ceiling = max(DEFAULT_SAMPLES, least)
+    samples = min(ceiling, max(_START_SAMPLES, least))
+    while samples < ceiling:
+        try:
+            fine, drift = _cauchy_rung(imap, size, sample_radius, samples)
+        except BranchCutError:
+            drift = math.nan
+        if drift <= 1e-10:
+            break
+        samples = min(2 * samples, ceiling)
+    else:  # the ceiling rung, the only one that raises
+        fine, drift = _cauchy_rung(imap, size, sample_radius, samples)
+        if not math.isfinite(drift):
+            raise ParameterError(
+                f"sample radius {sample_radius} gives a non-finite transfer matrix"
+            )
+        if not drift <= 1e-10:
+            raise AliasingError(
+                f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
+                "reduce the sampling radius"
+            )
     return TransferMatrix(l=fine, method=f"cauchy(radius={sample_radius}, samples={samples})")
 
 

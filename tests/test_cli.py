@@ -273,7 +273,7 @@ def test_spectrum_cauchy_companion_on_blaschke(tmp_path, capsys):
     path.write_text("map = blaschke\nmu = 0.3\nN = 6\nM = inf\n")
     assert main(["spectrum", "--config", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    header = lines.index("transfer matrix L_N spectrum (cauchy(radius=1.1, samples=4096)):")
+    header = lines.index("transfer matrix L_N spectrum (cauchy(radius=1.1, samples=64)):")
     assert len(lines) - header - 1 == 6
     assert float(lines[header + 1].split()[1]) == pytest.approx(1.0, abs=1e-12)
 

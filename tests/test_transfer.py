@@ -195,12 +195,94 @@ class TestCauchy:
         assert "samples=256" in transfer_matrix_analytic(imap, 10, sample_radius=1.1).method
 
     def test_sample_count_follows_size(self, monkeypatch):
-        # DEFAULT_SAMPLES, raised to the next power of two >= 4*size
+        # the ceiling, DEFAULT_SAMPLES raised to the next power of two >= 4*size,
+        # caps the start rung
         monkeypatch.setattr(transfer, "DEFAULT_SAMPLES", 16)
         imap = make_skewed_doubling(0.2)
         assert transfer_matrix_analytic(imap, 3).method.endswith("samples=16)")
         assert transfer_matrix_analytic(imap, 10).method.endswith("samples=64)")
         assert transfer_matrix_analytic(imap, 16).method.endswith("samples=64)")
+
+
+def pole_map(weight, pole):
+    """The left doubling branch plus weight/(z - pole), and the right one."""
+    left, right = make_skewed_doubling(0.0).branches
+    branch = Branch(
+        domain_lo=left.domain_lo,
+        domain_hi=left.domain_hi,
+        forward=left.forward,
+        inverse=lambda z: left.inverse(z) + weight / (np.asarray(z) - pole),
+        inverse_derivative=(
+            lambda z: left.inverse_derivative(z) - weight / (np.asarray(z) - pole) ** 2
+        ),
+        sign=1,
+    )
+    return IntervalMap(branches=(branch, right), deriv_sup=2.0)
+
+
+def ceiling_matrix(monkeypatch, imap, size):
+    """The matrix at the ladder's ceiling count: the start rung is moved
+    above every ceiling, so the ceiling rung is the only one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "_START_SAMPLES", 1 << 40)
+        return transfer_matrix_analytic(imap, size)
+
+
+class TestSampleLadder:
+    def test_blaschke_settles_on_first_rung(self):
+        # N = 25 starts at S = 128: one evaluation per function on the 2S circle
+        points = Counter()
+
+        def counted(key, fn):
+            def wrapper(z):
+                points[key] += np.size(z)
+                return fn(z)
+            return wrapper
+
+        imap = make_blaschke(0.3)
+        counted_map = replace(imap, branches=tuple(
+            replace(
+                branch,
+                inverse=counted((index, "inverse"), branch.inverse),
+                inverse_derivative=counted((index, "inverse_derivative"), branch.inverse_derivative),
+            )
+            for index, branch in enumerate(imap.branches)
+        ))
+        points.clear()  # Branch.__post_init__ reads the derivative at 0
+        tm = transfer_matrix_analytic(counted_map, 25)
+        assert tm.method == "cauchy(radius=1.1, samples=128)"
+        assert points == {(index, name): 256 for index in range(2)
+                          for name in ("inverse", "inverse_derivative")}
+
+    @pytest.mark.parametrize("mu", [0.2, 0.25, 0.3])
+    def test_settled_entries_match_ceiling(self, monkeypatch, mu):
+        imap = make_blaschke(mu)
+        for size in range(10, 26):
+            settled = transfer_matrix_analytic(imap, size)
+            ceiling = ceiling_matrix(monkeypatch, imap, size)
+            assert ceiling.method == "cauchy(radius=1.1, samples=4096)"
+            assert np.abs(settled.l - ceiling.l).max() < 1e-14, size
+
+    @pytest.mark.parametrize("imap", [make_blaschke(0.3), make_skewed_doubling(SKEW)],
+                             ids=["blaschke", "skewed-doubling"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_sizes_settle_at_start(self, imap, size):
+        assert transfer_matrix_analytic(imap, size).method == "cauchy(radius=1.1, samples=64)"
+
+    @pytest.mark.parametrize("size", [1, 25])
+    def test_cut_still_raised_at_ceiling(self, size):
+        # sizes starting at S = 64 and 128; TestCauchy covers N = 10
+        with pytest.raises(BranchCutError):
+            transfer_matrix_analytic(make_blaschke(0.3), size, sample_radius=1.5)
+
+    @pytest.mark.parametrize("weight, pole", [(0.01, 1.15), (0.002, 1.12)])
+    def test_pole_near_circle_climbs_past_coarse_cut_jumps(self, monkeypatch, weight, pole):
+        # neighbours of the 128-point circle jump by 4.5-5.5 next to a pole
+        # just outside |z| = 1.1, which the cut check cannot tell from a cut;
+        # the 8192-point ceiling circle resolves it
+        imap = pole_map(weight, pole)
+        settled = transfer_matrix_analytic(imap, 10)
+        assert np.abs(settled.l - ceiling_matrix(monkeypatch, imap, 10).l).max() < 1e-10
 
 
 class TestBounds:
