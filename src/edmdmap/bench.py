@@ -37,7 +37,7 @@ __all__ = [
     "MatchResult",
     "SweepConfig",
     "SweepRecord",
-    "FinitePairs",
+    "SweepPairs",
     "RadiusRecord",
     "match_spectra",
     "run_sweep",
@@ -162,6 +162,8 @@ class SweepConfig:
         finite = [m for _, m in cells if m is not None]
         if min(finite, default=1) < 1:
             raise ConfigError(f"key 'M': need node counts >= 1, got {min(finite)}")
+        if self.delta is not None and not finite:
+            raise ConfigError(f"key 'delta': {self.delta} needs a finite M, but every M is inf")
         if self.delta is not None and not all(0.0 <= self.delta <= 2.0 / m for m in finite):
             raise ConfigError(f"key 'delta': {self.delta} outside [0, 2/M] at M = {max(finite)}")
 
@@ -176,31 +178,34 @@ class SweepConfig:
         return [(n, m) for n in self.n_values for m in self.m_values]
 
 
-class FinitePairs:
-    """The finite-node pairs of a config's grid, one build per node count.
+class SweepPairs:
+    """The pairs of a config's grid, one build per node count M.
 
-    Each distinct M gets one build_finite, at the largest N that any cell
-    at that M asks for, made when a cell at that M first needs it; every
-    cell then takes the leading block.  Only the pair's N x N matrices are
-    kept, never the observable tables.  A failed build is raised again
-    for every cell at that M.
+    Each distinct M, the infinite-node limit None included, gets one build
+    (build_infinite for None, build_finite otherwise) at the largest N that
+    any cell at that M asks for, made when a cell at that M first needs it;
+    every cell then takes the leading block.  Only the pair's N x N
+    matrices are kept, never the observable tables.  A failed build is
+    raised again for every cell at that M.
     """
 
     def __init__(self, config: SweepConfig) -> None:
         self._config = config
-        self._n_max: dict[int, int] = {}
+        self._n_max: dict[int | None, int] = {}
         for n, m in config.cells():
-            if m is not None:
-                self._n_max[m] = max(n, self._n_max.get(m, 0))
-        self._built: dict[int, EdmdPair | EdmdMapError] = {}
+            self._n_max[m] = max(n, self._n_max.get(m, 0))
+        self._built: dict[int | None, EdmdPair | EdmdMapError] = {}
 
-    def pair(self, n: int, m: int) -> EdmdPair:
+    def pair(self, n: int, m: int | None) -> EdmdPair:
         if m not in self._built:
             config = self._config
             try:
                 basis = ObservableBasis(config.basis_kind, self._n_max[m])
-                nodes = nodes_equidistant(m, config.delta)
-                self._built[m] = build_finite(config.imap, basis, nodes)
+                if m is None:
+                    self._built[m] = build_infinite(config.imap, basis)
+                else:
+                    nodes = nodes_equidistant(m, config.delta)
+                    self._built[m] = build_finite(config.imap, basis, nodes)
             except EdmdMapError as exc:
                 self._built[m] = exc
         built = self._built[m]
@@ -211,15 +216,12 @@ class FinitePairs:
 
 
 def _run_cell(
-    config: SweepConfig, finite: FinitePairs, n: int, m: int | None
+    config: SweepConfig, pairs: SweepPairs, n: int, m: int | None
 ) -> list[SweepRecord]:
     indices = config.eigen_indices if config.eigen_indices is not None else tuple(range(n))
     t0 = time.perf_counter()
     try:
-        if m is None:
-            pair = build_infinite(config.imap, ObservableBasis(config.basis_kind, n))
-        else:
-            pair = finite.pair(n, m)
+        pair = pairs.pair(n, m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankTruncationWarning)
             spec = edmd_spectrum(pair, config.eps_pinv)
@@ -245,10 +247,11 @@ def _run_cell(
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the whole grid, one cell after another; rows come back in
-    grid order.  Finite-node cells share one pair per M (FinitePairs), and
-    a cell's wall_ms includes that build only if the cell triggered it."""
-    finite = FinitePairs(config)
-    return [record for n, m in config.cells() for record in _run_cell(config, finite, n, m)]
+    grid order.  The cells at one M, inf included, share one pair
+    (SweepPairs), and a cell's wall_ms includes that build only if the
+    cell triggered it."""
+    pairs = SweepPairs(config)
+    return [record for n, m in config.cells() for record in _run_cell(config, pairs, n, m)]
 
 
 class FitResult(NamedTuple):
@@ -294,11 +297,20 @@ def fourier_radius_study(
 ) -> list[RadiusRecord]:
     """|lambda_1| of the closed-form Fourier cross matrix per (a, N), with
     the essential-radius companion (1+|a|)/2 and the ln|lambda1|*ln N
-    product used for the small-skew perturbation scaling."""
+    product used for the small-skew perturbation scaling.
+
+    Each a gets one cross matrix, at the largest N; every N solves its
+    leading N x N block, which is the N-size matrix entry for entry (the
+    dictionary is prefix-nested and each entry depends on its modes only).
+    """
+    n_values = [ObservableBasis(FOURIER, n).size for n in n_values]  # an even N raises
+    if not n_values:
+        return []
     records = []
     for a in a_values:
+        cross = fourier_cross_closed(a, max(n_values))
         for n in n_values:
-            vals = eigenvalues(fourier_cross_closed(a, n)).values
+            vals = eigenvalues(cross[:n, :n]).values
             lam1 = float(np.abs(vals[1])) if len(vals) > 1 else 0.0
             product = math.log(lam1) * math.log(n) if lam1 > 0 else float("-inf")
             records.append(

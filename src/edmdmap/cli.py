@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import (
     FIGURE_NAMES,
-    FinitePairs,
+    SweepPairs,
     figure_recipe,
     fourier_radius_study,
     parse_config,
@@ -153,12 +153,12 @@ def _cmd_bounds(args) -> int:
         print("no (r, R) expansion parameters in config; projection bound skipped")
 
     print("collocation bounds (monomials) vs measured spectral norms:")
-    finite = FinitePairs(config)
+    pairs = SweepPairs(config)
     for n, m in config.cells():
         if m is None:
             continue
         h_exact = gram_infinite(monomial_basis(n))
-        pair = finite.pair(n, m)
+        pair = pairs.pair(n, m)
         dh = spectral_norm(h_exact - pair.h)
         bound_h = 1.5 * n * n / m
         print(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"

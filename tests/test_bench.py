@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from edmdmap import bench, edmd
 from edmdmap.bench import (
-    FinitePairs,
     SweepConfig,
+    SweepPairs,
     SweepRecord,
     figure_recipe,
     fit_decay,
@@ -24,7 +24,7 @@ from edmdmap.bench import (
     sweep_config_from_text,
     write_records,
 )
-from edmdmap.edmd import build_finite, nodes_equidistant
+from edmdmap.edmd import build_finite, build_infinite, nodes_equidistant
 from edmdmap.errors import (
     ConfigError,
     InsufficientDataError,
@@ -33,7 +33,14 @@ from edmdmap.errors import (
     RankTruncationWarning,
 )
 from edmdmap.maps import make_blaschke, make_skewed_doubling
-from edmdmap.observables import FOURIER, MONOMIALS, fourier_basis, monomial_basis
+from edmdmap.observables import (
+    FOURIER,
+    MONOMIALS,
+    fourier_basis,
+    fourier_cross_closed,
+    monomial_basis,
+)
+from edmdmap.spectral import eigenvalues
 
 SKEW = 1.0 / np.sqrt(2.0)
 
@@ -274,20 +281,30 @@ class TestRunSweep:
 
 
 class TestSharedFinitePairs:
-    """run_sweep builds one finite pair per M, at the largest N asked for
-    there, and gives each cell its leading block."""
+    """run_sweep builds one pair per M, inf included (SweepPairs), at the
+    largest N asked for there, and gives each cell its leading block."""
 
     @staticmethod
-    def _count_builds(monkeypatch, fail_at=None):
+    def _count_builds(monkeypatch, fail_at=0):
+        """Record (N, M) of every build, M = None for build_infinite; the
+        build at M = fail_at raises (the default 0 is no node count)."""
         calls = []
 
-        def counting(imap, basis, nodes):
-            calls.append((basis.size, nodes.m))
-            if nodes.m == fail_at:
+        def check(size, m):
+            calls.append((size, m))
+            if m == fail_at:
                 raise MapDomainError("observables evaluated outside [-1, 1]")
+
+        def finite(imap, basis, nodes):
+            check(basis.size, nodes.m)
             return build_finite(imap, basis, nodes)
 
-        monkeypatch.setattr(bench, "build_finite", counting)
+        def infinite(imap, basis):
+            check(basis.size, None)
+            return build_infinite(imap, basis)
+
+        monkeypatch.setattr(bench, "build_finite", finite)
+        monkeypatch.setattr(bench, "build_infinite", infinite)
         return calls
 
     def test_one_build_per_m_at_largest_n(self, monkeypatch):
@@ -301,7 +318,7 @@ class TestSharedFinitePairs:
         config = figure_recipe("fig2.4")[1]
         shared = {(rec.n_observables, rec.m_nodes, rec.index): replace(rec, wall_ms=0.0)
                   for rec in run_sweep(config)}
-        pairs = FinitePairs(config)
+        pairs = SweepPairs(config)
         for m in config.m_values:
             direct = build_finite(config.imap, monomial_basis(16), nodes_equidistant(m))
             pair = pairs.pair(16, m)
@@ -315,7 +332,7 @@ class TestSharedFinitePairs:
         # which the pencil amplifies by cond(H) and the eigenvalue condition
         # numbers kappa_i = |x_i| |y_i| / |y_i^H x_i|
         config = figure_recipe("fig2.4")[1]
-        pairs = FinitePairs(config)
+        pairs = SweepPairs(config)
         eps = np.finfo(float).eps
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankTruncationWarning)
@@ -349,12 +366,29 @@ class TestSharedFinitePairs:
             m_values=(100, 200, None),
             eigen_indices=(0, 1),
         )
-        calls = self._count_builds(monkeypatch, fail_at=200)
+        for fail_at in (200, None):
+            calls = self._count_builds(monkeypatch, fail_at=fail_at)
+            records = run_sweep(config)
+            assert sorted(calls, key=str) == [(5, 100), (5, 200), (5, None)]
+            failed = {rec.status for rec in records if rec.m_nodes == fail_at}
+            assert failed == {"MapDomainError: observables evaluated outside [-1; 1]"}
+            assert all(rec.status == "ok" for rec in records if rec.m_nodes != fail_at)
+
+    def test_one_infinite_build_at_largest_n(self, monkeypatch):
+        config = figure_recipe("fig2.2")[1]
+        calls = self._count_builds(monkeypatch)
         records = run_sweep(config)
-        assert sorted(calls) == [(5, 100), (5, 200)]
-        failed = {rec.status for rec in records if rec.m_nodes == 200}
-        assert failed == {"MapDomainError: observables evaluated outside [-1; 1]"}
-        assert all(rec.status == "ok" for rec in records if rec.m_nodes != 200)
+        assert calls == [(25, None)]
+        assert all(rec.status == "ok" for rec in records)
+
+    def test_infinite_rows_identical_to_one_cell_sweeps(self):
+        # each cell solves the leading blocks of the N = 25 pair, the 80-bit
+        # h_ext and g_ext included; the quadrature settles at the same order
+        config = figure_recipe("fig2.2")[1]
+        shared = [replace(rec, wall_ms=0.0) for rec in run_sweep(config)]
+        alone = [replace(rec, wall_ms=0.0) for n in config.n_values
+                 for rec in run_sweep(replace(config, n_values=(n,)))]
+        assert shared == alone
 
     def test_rows_follow_grid_order(self):
         config = SweepConfig(
@@ -412,6 +446,28 @@ class TestFourierRadiusStudy:
         rec = fourier_radius_study([1e-16], [65])[0]
         target = np.log(1e-16) * np.log(2.0)
         assert abs(rec.product_log - target) < 0.3 * abs(target)
+
+    def test_leading_blocks_match_per_size_matrices(self):
+        _, a_values, n_values = figure_recipe("fig2.5")
+        records = fourier_radius_study(a_values, n_values)
+        assert [(rec.a, rec.n_observables) for rec in records] == [
+            (a, n) for a in a_values for n in n_values
+        ]
+        for rec in records:
+            vals = eigenvalues(fourier_cross_closed(rec.a, rec.n_observables)).values
+            assert rec.abs_lambda1 == float(np.abs(vals[1]))
+
+    def test_even_size_raises_below_an_odd_largest_size(self):
+        with pytest.raises(ParameterError):
+            fourier_radius_study([0.3], [5, 4, 9])
+
+    def test_empty_sizes_give_no_records(self):
+        assert fourier_radius_study([0.3, 0.6], []) == []
+
+    def test_accepts_any_iterable(self):
+        listed = fourier_radius_study([0.3, 0.6], [9, 5])
+        assert fourier_radius_study((a for a in (0.3, 0.6)), iter((9, 5))) == listed
+        assert len(listed) == 4
 
 
 class TestConfigParsing:

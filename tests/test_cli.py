@@ -111,6 +111,8 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
                      id="schedule-rate"),
         pytest.param(BASE + "delta = 0.25\n", "delta",
                      id="delta-above-2-over-M"),
+        pytest.param(BASE.replace("N = 3", "N = 6,7").replace("M = 10", "M = inf")
+                     + "delta = 0.5\n", "delta", id="delta-without-finite-M"),
         pytest.param(BASE + "mu = 0.3\n", "mu", id="mu-on-skewed-doubling"),
         # samples is no longer a key, so it is rejected as unknown
         pytest.param(BASE + "samples = 4096.7\n", "samples", id="samples-float"),
