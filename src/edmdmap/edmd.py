@@ -101,7 +101,6 @@ class EdmdPair:
     g: np.ndarray
     provenance: Provenance
     basis: ObservableBasis
-    imap: IntervalMap
     h_ext: np.ndarray | None = field(default=None, repr=False, compare=False)
     g_ext: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -160,7 +159,6 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
         g=g,
         provenance=Provenance("finite", m=nodes.m, delta=nodes.delta),
         basis=basis,
-        imap=imap,
     )
 
 
@@ -261,9 +259,7 @@ def build_infinite(imap: IntervalMap, basis: ObservableBasis) -> EdmdPair:
         if basis.kind == MONOMIALS:
             h_ext = gram_infinite(basis, dtype=np.longdouble)
         provenance = Provenance("infinite", quad_order=order)
-    return EdmdPair(
-        h=h, g=g, provenance=provenance, basis=basis, imap=imap, h_ext=h_ext, g_ext=g_ext
-    )
+    return EdmdPair(h=h, g=g, provenance=provenance, basis=basis, h_ext=h_ext, g_ext=g_ext)
 
 
 def edmd_spectrum(pair: EdmdPair, eps: float = DEFAULT_EPS_PINV) -> Spectrum:

@@ -32,7 +32,7 @@ __all__ = [
     "verify_branch_analyticity",
 ]
 
-_ANALYTICITY_POINTS = 720
+_CIRCLE_POINTS = 720
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,11 @@ class Branch:
 
     ``forward`` acts on real points of ``[domain_lo, domain_hi]``;
     ``inverse`` and ``inverse_derivative`` accept complex arrays and must be
-    analytic on the disks used by callers.  ``sign`` is the sign of the
-    inverse derivative at 0.  ``affine`` holds ``(alpha, beta)`` when the
-    inverse branch is exactly ``alpha*z + beta``, enabling closed forms.
+    analytic on the disks used by callers (``_branches_on_circle`` checks a
+    circle).  ``affine`` holds ``(alpha, beta)`` when the inverse branch is
+    exactly ``alpha*z + beta``, enabling closed forms; such a branch is
+    entire.  ``sign`` is derived: the sign of the real part of the inverse
+    derivative at 0, +1 for an increasing branch and -1 for a decreasing one.
     """
 
     domain_lo: float
@@ -51,8 +53,8 @@ class Branch:
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     inverse_derivative: Callable[[np.ndarray], np.ndarray]
-    sign: int
     affine: tuple[float, float] | None = None
+    sign: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.domain_lo < self.domain_hi <= 1.0:
@@ -60,9 +62,8 @@ class Branch:
                 f"branch domain [{self.domain_lo}, {self.domain_hi}] is not a "
                 "subinterval of [-1, 1]"
             )
-        expected = 1 if np.real(self.inverse_derivative(np.complex128(0.0))) > 0 else -1
-        if self.sign != expected:
-            raise ParameterError(f"branch sign {self.sign} contradicts inverse derivative at 0")
+        sign = 1 if np.real(self.inverse_derivative(np.complex128(0.0))) > 0 else -1
+        object.__setattr__(self, "sign", sign)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ def _affine_branch(lo: float, hi: float, alpha: float, beta: float) -> Branch:
         forward=forward,
         inverse=lambda z: alpha * np.asarray(z) + beta,
         inverse_derivative=lambda z: np.full_like(np.asarray(z, dtype=complex), alpha),
-        sign=1 if alpha > 0 else -1,
         affine=(alpha, beta),
     )
 
@@ -190,7 +190,6 @@ def _blaschke_branch(mu: float, side: int) -> Branch:
         forward=_blaschke_forward(mu, offset=1.0 if side < 0 else -1.0),
         inverse=inverse,
         inverse_derivative=inverse_derivative,
-        sign=1,
     )
 
 
@@ -235,37 +234,46 @@ def exact_spectrum_values(imap: IntervalMap, n_max: int) -> np.ndarray:
     raise UnsupportedMapError("map has no exact reference spectrum")
 
 
-def _branch_on_circle(branch: Branch, index: int, circle: np.ndarray, radius: float):
-    """Values of one inverse branch and its derivative on a closed circle.
+def _branches_on_circle(
+    imap: IntervalMap, radius: float, count: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Values (phi, phi') of every inverse branch on the closed circle
+    z_j = radius * exp(2*pi*i*j/count), j = 0..count-1, one pair per branch.
 
-    ``circle`` holds equispaced points of |z| = radius in angular order.
-    Every value must be finite and no two neighbours (the last and the
-    first included) may differ by 0.5 or more: principal-branch arccos
-    crossing a cut produces an O(1) jump.  Raises BranchCutError otherwise,
-    and ParameterError for a radius that is not positive (NaN included).
+    The angles are rounded as 2*pi*j/count, so the even points of a
+    2*count circle are exactly the points of the count circle.  This is the
+    only place a map's inverse branches are read on a circle.  An affine
+    branch is entire and is returned unchecked.  Every other value must be
+    finite and no two neighbours (the last and the first included) may
+    differ by 0.5 or more: principal-branch arccos crossing a cut produces
+    an O(1) jump.  Raises BranchCutError otherwise, and ParameterError for
+    a radius that is not positive (NaN included).
     """
     if not radius > 0:
         raise ParameterError("radius must be positive")
+    circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
     values = []
-    for name, fn in (("inverse", branch.inverse), ("inverse_derivative", branch.inverse_derivative)):
-        vals = np.asarray(fn(circle))
-        if not np.all(np.isfinite(vals)):
-            raise BranchCutError(f"branch {index} {name} not finite on circle of radius {radius}")
-        jump = float(np.abs(np.diff(vals, append=vals[:1])).max())
-        if jump >= 0.5:
-            raise BranchCutError(
-                f"branch {index} {name} jumps by {jump:.3g} on circle of "
-                f"radius {radius}; reduce the sampling radius"
-            )
-        values.append(vals)
+    for index, branch in enumerate(imap.branches):
+        pair = (np.asarray(branch.inverse(circle)), np.asarray(branch.inverse_derivative(circle)))
+        values.append(pair)
+        if branch.affine is not None:  # entire: no cut to cross
+            continue
+        for name, vals in zip(("inverse", "inverse_derivative"), pair):
+            if not np.all(np.isfinite(vals)):
+                raise BranchCutError(
+                    f"branch {index} {name} not finite on circle of radius {radius}"
+                )
+            jump = float(np.abs(np.diff(vals, append=vals[:1])).max())
+            if jump >= 0.5:
+                raise BranchCutError(
+                    f"branch {index} {name} jumps by {jump:.3g} on circle of "
+                    f"radius {radius}; reduce the radius"
+                )
     return values
 
 
 def verify_branch_analyticity(imap: IntervalMap, radius: float) -> None:
-    """Check inverse branches for branch-cut crossings on _ANALYTICITY_POINTS
+    """Check the inverse branches for branch-cut crossings on _CIRCLE_POINTS
     equispaced points of the circle |z| = radius, by the rule of
-    ``_branch_on_circle``."""
-    angles = np.linspace(0.0, 2.0 * np.pi, _ANALYTICITY_POINTS, endpoint=False)
-    circle = radius * np.exp(1j * angles)
-    for index, branch in enumerate(imap.branches):
-        _branch_on_circle(branch, index, circle, radius)
+    ``_branches_on_circle``: raises BranchCutError where it fails."""
+    _branches_on_circle(imap, radius, _CIRCLE_POINTS)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
-from .maps import IntervalMap, _branch_on_circle
+from .maps import _CIRCLE_POINTS, IntervalMap, _branches_on_circle
 from .observables import _power_rows
 
 __all__ = [
@@ -41,7 +41,6 @@ DEFAULT_SAMPLE_RADIUS = 1.1
 DEFAULT_SAMPLES = 4096
 _START_SAMPLES = 64
 
-_DERIV_SUM_POINTS = 720
 _DERIV_SUM_SAFETY = 1.05
 
 
@@ -110,14 +109,13 @@ def _cauchy_rung(
     2*samples circle.
     """
     # the even points of the 2*samples circle are the samples circle exactly
-    # (2*pi*(2j)/(2S) rounds like 2*pi*j/S), so one evaluation serves both
-    count = 2 * samples
-    circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
-    powers = np.empty((size, count), dtype=complex)
-    g = np.zeros((size, count), dtype=complex)
+    # (_branches_on_circle rounds 2*pi*(2j)/(2S) like 2*pi*j/S), so one
+    # evaluation serves both
+    powers = np.empty((size, 2 * samples), dtype=complex)
+    g = np.zeros((size, 2 * samples), dtype=complex)
     with np.errstate(all="ignore"):  # a radius far from 1 overflows; the caller checks
-        for index, branch in enumerate(imap.branches):
-            phi, dphi = _branch_on_circle(branch, index, circle, radius)
+        values = _branches_on_circle(imap, radius, 2 * samples)
+        for branch, (phi, dphi) in zip(imap.branches, values):
             g += branch.sign * dphi * _power_rows(phi, powers)
         # L[k, l] = [z^k] g_l(z)
         fine = taylor_coefficients_on_circle(g.T, size, radius)
@@ -135,7 +133,8 @@ def transfer_matrix_analytic(
     more than 1e-10; ``method`` names the count that settled.  The ceiling
     is DEFAULT_SAMPLES, raised to the next power of two >= 4*size.  Each
     rung evaluates every inverse branch and its derivative once on the 2*S
-    circle and checks them for cut jumps there before any power or FFT.
+    circle and checks the non-affine ones for cut jumps there before any
+    power or FFT (``maps._branches_on_circle``).
     Below the ceiling a failed rung (cut jump, drift, non-finite entry)
     only climbs: a pole just outside the circle makes coarse neighbours
     jump.  The ceiling rung raises BranchCutError for a cut, ParameterError
@@ -189,12 +188,15 @@ def projection_error_bound(
 
 def derivative_sum_estimate(imap: IntervalMap, radius: float) -> float:
     """Grid estimate (not a certified supremum) of sup over |z| = radius of
-    sum_l |phi_l'(z)| on _DERIV_SUM_POINTS points, inflated by _DERIV_SUM_SAFETY."""
-    angles = 2.0 * np.pi * np.arange(_DERIV_SUM_POINTS) / _DERIV_SUM_POINTS
-    circle = radius * np.exp(1j * angles)
-    total = np.zeros(_DERIV_SUM_POINTS)
-    for branch in imap.branches:
-        total += np.abs(np.asarray(branch.inverse_derivative(circle)))
+    sum_l |phi_l'(z)|, inflated by _DERIV_SUM_SAFETY.
+
+    The branches are read on the _CIRCLE_POINTS circle of
+    ``_branches_on_circle``, so a circle on which a non-affine branch fails
+    the cut check raises BranchCutError instead of giving a number for a
+    disk on which the map is not analytic.
+    """
+    values = _branches_on_circle(imap, radius, _CIRCLE_POINTS)
+    total = sum(np.abs(dphi) for _, dphi in values)
     return _DERIV_SUM_SAFETY * float(total.max())
 
 

@@ -206,6 +206,31 @@ def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
     assert captured.out == "" and repr(key) in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        # mu cos(pi z/2) = +-1 first at |z| ~ 1.193, so |z| = 1.4 crosses a cut
+        pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.4\n", 1,
+                     id="blaschke-disk-past-cut"),
+        pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.15\n", 0,
+                     id="blaschke-disk-inside-cut"),
+        # affine branches are entire: no disk is past a cut
+        pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nr = 2.71\nR_disk = 100\n", 0,
+                     id="affine-large-disk"),
+    ],
+)
+def test_bounds_disk_checked_for_branch_cut(tmp_path, capsys, text, code):
+    path = tmp_path / "bounds.cfg"
+    path.write_text(text)
+    assert main(["bounds", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("configuration error:")
+        assert "'R_disk'" in captured.err
+    else:
+        assert "projection bound" in captured.out
+
+
 FOURIER_41 = "map = blaschke\nmu = 0.3\nbasis = fourier\nN = 41\n"
 
 

@@ -211,7 +211,6 @@ class TestEdmdSpectrum:
             g=np.diag([1.0, 0.5]),
             provenance=Provenance("finite", m=2, delta=0.5),
             basis=monomial_basis(2),
-            imap=make_skewed_doubling(0.0),
         )
         assert edmd_spectrum(pair).values == pytest.approx([1.0, 0.5])
 
@@ -231,7 +230,6 @@ class TestEdmdSpectrum:
             g=np.eye(2),
             provenance=Provenance("finite", m=4, delta=0.25),
             basis=monomial_basis(2),
-            imap=make_skewed_doubling(0.0),
         )
         with pytest.warns(RankTruncationWarning):
             spec = edmd_spectrum(pair, eps=1e-12)

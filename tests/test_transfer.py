@@ -185,7 +185,6 @@ class TestCauchy:
             inverse_derivative=(
                 lambda z: left.inverse_derivative(z) - 0.01 / (np.asarray(z) - 1.3) ** 2
             ),
-            sign=1,
         )
         imap = IntervalMap(branches=(pole, right), deriv_sup=2.0)
         monkeypatch.setattr(transfer, "DEFAULT_SAMPLES", 64)
@@ -215,7 +214,6 @@ def pole_map(weight, pole):
         inverse_derivative=(
             lambda z: left.inverse_derivative(z) - weight / (np.asarray(z) - pole) ** 2
         ),
-        sign=1,
     )
     return IntervalMap(branches=(branch, right), deriv_sup=2.0)
 
@@ -285,6 +283,50 @@ class TestSampleLadder:
         assert np.abs(settled.l - ceiling_matrix(monkeypatch, imap, 10).l).max() < 1e-10
 
 
+def tent_map():
+    """The full tent map through the public API: phi_0(z) = (z - 1)/2 on
+    [-1, 0] and the decreasing phi_1(z) = (1 - z)/2 on [0, 1]."""
+    left = Branch(
+        domain_lo=-1.0,
+        domain_hi=0.0,
+        forward=lambda x: 2.0 * np.asarray(x) + 1.0,
+        inverse=lambda z: (np.asarray(z) - 1.0) / 2.0,
+        inverse_derivative=lambda z: np.full_like(np.asarray(z, dtype=complex), 0.5),
+        affine=(0.5, -0.5),
+    )
+    right = Branch(
+        domain_lo=0.0,
+        domain_hi=1.0,
+        forward=lambda x: 1.0 - 2.0 * np.asarray(x),
+        inverse=lambda z: (1.0 - np.asarray(z)) / 2.0,
+        inverse_derivative=lambda z: np.full_like(np.asarray(z, dtype=complex), -0.5),
+        affine=(-0.5, 0.5),
+    )
+    return IntervalMap(branches=(left, right), deriv_sup=2.0)
+
+
+class TestDecreasingBranch:
+    # both L_N routes multiply by the derived sign; the tent map's spectrum
+    # is sum_l sign_l * alpha_l^(n+1) = (1 + (-1)^n) / 2^(n+1): 1, 0, 1/4, 0, ...
+    def test_derived_signs(self):
+        assert tuple(branch.sign for branch in tent_map().branches) == (1, -1)
+
+    def test_affine_diagonal(self):
+        size = 12
+        diagonal = [(1.0 + (-1.0) ** n) / 2.0 ** (n + 1) for n in range(size)]
+        assert np.array_equal(np.diag(transfer_matrix_affine(tent_map(), size).l), diagonal)
+
+    def test_cauchy_matches_affine(self):
+        imap = tent_map()
+        for size in (5, 20):
+            cauchy = transfer_matrix_analytic(imap, size).l
+            assert np.abs(cauchy - transfer_matrix_affine(imap, size).l).max() < 1e-13
+
+    def test_infinite_edmd_leading_eigenvalues(self):
+        values = edmd_spectrum(build_infinite(tent_map(), monomial_basis(10))).values
+        assert np.abs(values[:3] - [1.0, 0.25, 0.0625]).max() < 1e-12
+
+
 class TestBounds:
     def test_plugin_arithmetic(self):
         # C = 2/sqrt(3), bound = 2C at N = 0
@@ -311,9 +353,18 @@ class TestBounds:
             schedule_regime(0.5, 2.0)
 
     def test_derivative_sum_estimate_affine(self):
-        # sum |phi_l'| = (1+a)/2 + (1-a)/2 = 1 everywhere for the skewed map
-        est = derivative_sum_estimate(make_skewed_doubling(0.4), radius=2.0)
-        assert est == pytest.approx(1.05, rel=1e-12)
+        # sum |phi_l'| = (1+a)/2 + (1-a)/2 = 1 everywhere for the skewed map;
+        # affine branches are entire, so no radius trips the cut check
+        for radius in (2.0, 100.0):
+            est = derivative_sum_estimate(make_skewed_doubling(0.4), radius=radius)
+            assert est == pytest.approx(1.05, rel=1e-12)
+
+    def test_derivative_sum_estimate_checks_cut(self):
+        # mu cos(pi z/2) = +-1 first at |z| = (2/pi) arccosh(10/3) ~ 1.193
+        blaschke = make_blaschke(0.3)
+        assert math.isfinite(derivative_sum_estimate(blaschke, 1.15))
+        with pytest.raises(BranchCutError):
+            derivative_sum_estimate(blaschke, 1.4)
 
 
 @pytest.mark.parametrize(
