@@ -489,20 +489,25 @@ def read_records(path: str | Path) -> list[SweepRecord]:
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header {header!r}")
         for row in reader:
-            records.append(
-                SweepRecord(
-                    n_observables=int(row[0]),
-                    m_nodes=None if row[1] == "inf" else int(row[1]),
-                    index=int(row[2]),
-                    approx=complex(float(row[3]), float(row[4])),
-                    exact=complex(float(row[5]), float(row[6])),
-                    delta=float(row[7]),
-                    delta_rank_paired=float(row[8]),
-                    eps_rank=int(row[9]),
-                    wall_ms=float(row[10]),
-                    status=row[11],
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{len(row)} fields, not {len(CSV_HEADER)}")
+                records.append(
+                    SweepRecord(
+                        n_observables=int(row[0]),
+                        m_nodes=None if row[1] == "inf" else int(row[1]),
+                        index=int(row[2]),
+                        approx=complex(float(row[3]), float(row[4])),
+                        exact=complex(float(row[5]), float(row[6])),
+                        delta=float(row[7]),
+                        delta_rank_paired=float(row[8]),
+                        eps_rank=int(row[9]),
+                        wall_ms=float(row[10]),
+                        status=row[11],
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
     return records
 
 

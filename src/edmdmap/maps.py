@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _CIRCLE_POINTS = 720
+_CIRCLE_CEILING = _CIRCLE_POINTS << 7  # 92160 points reach |z| = 1.192 on Blaschke mu = 0.3
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class IntervalMap:
         can run above double precision.
         """
         arr = np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, float))
-        if np.any(arr < -1.0) or np.any(arr > 1.0):
+        if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):  # NaN fails too
             raise MapDomainError("map evaluation outside [-1, 1]")
         idx = np.searchsorted(self.critical_points, arr, side="left")
         out = np.empty_like(arr)
@@ -235,45 +236,59 @@ def exact_spectrum_values(imap: IntervalMap, n_max: int) -> np.ndarray:
 
 
 def _branches_on_circle(
-    imap: IntervalMap, radius: float, count: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Values (phi, phi') of every inverse branch on the closed circle
-    z_j = radius * exp(2*pi*i*j/count), j = 0..count-1, one pair per branch.
+    imap: IntervalMap, radius: float, count: int, ceiling: int
+) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """The count K and the values (phi, phi') of every inverse branch, one
+    pair per branch, on the closed circle z_j = radius * exp(2*pi*i*j/K).
 
-    The angles are rounded as 2*pi*j/count, so the even points of a
-    2*count circle are exactly the points of the count circle.  This is the
-    only place a map's inverse branches are read on a circle.  An affine
-    branch is entire and is returned unchecked.  Every other value must be
-    finite and no two neighbours (the last and the first included) may
-    differ by 0.5 or more: principal-branch arccos crossing a cut produces
-    an O(1) jump.  Raises BranchCutError otherwise, and ParameterError for
-    a radius that is not positive (NaN included).
+    The angles are rounded as 2*pi*j/K, so the even points of a 2*K circle
+    are exactly the points of the K circle.  This is the only place a map's
+    inverse branches are read on a circle and the cut rule is applied
+    (``_checked_pair``): an affine branch is entire and unchecked; every
+    other value must be finite, and no two neighbours, the last and the
+    first included, may differ by 0.5 or more.  A cut jumps by O(1) on any
+    circle, a steep analytic branch only on coarse ones, so K starts at
+    ``count`` and doubles while the rule fails; at ``ceiling`` a failure
+    raises BranchCutError.  A radius that is not positive (NaN included)
+    raises ParameterError.
     """
     if not radius > 0:
         raise ParameterError("radius must be positive")
-    circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
-    values = []
-    for index, branch in enumerate(imap.branches):
-        pair = (np.asarray(branch.inverse(circle)), np.asarray(branch.inverse_derivative(circle)))
-        values.append(pair)
-        if branch.affine is not None:  # entire: no cut to cross
-            continue
-        for name, vals in zip(("inverse", "inverse_derivative"), pair):
-            if not np.all(np.isfinite(vals)):
-                raise BranchCutError(
-                    f"branch {index} {name} not finite on circle of radius {radius}"
-                )
-            jump = float(np.abs(np.diff(vals, append=vals[:1])).max())
-            if jump >= 0.5:
-                raise BranchCutError(
-                    f"branch {index} {name} jumps by {jump:.3g} on circle of "
-                    f"radius {radius}; reduce the radius"
-                )
-    return values
+    while True:
+        circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+        try:
+            return count, [_checked_pair(index, branch, circle, radius)
+                           for index, branch in enumerate(imap.branches)]
+        except BranchCutError:
+            if count >= ceiling:
+                raise
+        count *= 2
+
+
+def _checked_pair(
+    index: int, branch: Branch, circle: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, phi') of one branch on ``circle``; BranchCutError if it fails the cut rule."""
+    pair = (np.asarray(branch.inverse(circle)), np.asarray(branch.inverse_derivative(circle)))
+    if branch.affine is not None:  # entire: no cut to cross
+        return pair
+    for name, vals in zip(("inverse", "inverse_derivative"), pair):
+        if not np.all(np.isfinite(vals)):
+            raise BranchCutError(
+                f"branch {index} {name} not finite on circle of radius {radius}"
+            )
+        jump = float(np.abs(np.diff(vals, append=vals[:1])).max())
+        if jump >= 0.5:
+            raise BranchCutError(
+                f"branch {index} {name} jumps by {jump:.3g} on circle of "
+                f"radius {radius}; reduce the radius"
+            )
+    return pair
 
 
 def verify_branch_analyticity(imap: IntervalMap, radius: float) -> None:
-    """Check the inverse branches for branch-cut crossings on _CIRCLE_POINTS
-    equispaced points of the circle |z| = radius, by the rule of
-    ``_branches_on_circle``: raises BranchCutError where it fails."""
-    _branches_on_circle(imap, radius, _CIRCLE_POINTS)
+    """Check the inverse branches for branch-cut crossings on the circle
+    |z| = radius by the rule of ``_branches_on_circle``, from _CIRCLE_POINTS
+    points doubled up to _CIRCLE_CEILING: raises BranchCutError where the
+    rule still fails at the ceiling."""
+    _branches_on_circle(imap, radius, _CIRCLE_POINTS, _CIRCLE_CEILING)

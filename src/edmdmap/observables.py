@@ -71,7 +71,7 @@ def eval_basis(basis: ObservableBasis, x: np.ndarray | float) -> np.ndarray:
     sqrt(2)*sin(pi*x), sqrt(2)*cos(2*pi*x), ...
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, float)))
-    if np.any(arr < -1.0) or np.any(arr > 1.0):
+    if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):  # NaN fails too
         raise MapDomainError("observables evaluated outside [-1, 1]")
     if basis.kind == MONOMIALS:
         out = _power_rows(arr, np.empty((basis.size, arr.size), dtype=arr.dtype))

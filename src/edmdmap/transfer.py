@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
-from .maps import _CIRCLE_POINTS, IntervalMap, _branches_on_circle
+from .errors import AliasingError, NonAffineBranchError, ParameterError
+from .maps import _CIRCLE_CEILING, _CIRCLE_POINTS, IntervalMap, _branches_on_circle
 from .observables import _power_rows
 
 __all__ = [
@@ -99,30 +99,6 @@ def taylor_coefficients_on_circle(
     return coeffs * (scale[:, np.newaxis] if values_on_circle.ndim > 1 else scale)
 
 
-def _cauchy_rung(
-    imap: IntervalMap, size: int, radius: float, samples: int
-) -> tuple[np.ndarray, float]:
-    """Coefficients from the 2*samples circle and their largest move
-    against the samples circle (NaN or inf when an entry is not finite).
-
-    Raises BranchCutError when a branch fails the cut check on the
-    2*samples circle.
-    """
-    # the even points of the 2*samples circle are the samples circle exactly
-    # (_branches_on_circle rounds 2*pi*(2j)/(2S) like 2*pi*j/S), so one
-    # evaluation serves both
-    powers = np.empty((size, 2 * samples), dtype=complex)
-    g = np.zeros((size, 2 * samples), dtype=complex)
-    with np.errstate(all="ignore"):  # a radius far from 1 overflows; the caller checks
-        values = _branches_on_circle(imap, radius, 2 * samples)
-        for branch, (phi, dphi) in zip(imap.branches, values):
-            g += branch.sign * dphi * _power_rows(phi, powers)
-        # L[k, l] = [z^k] g_l(z)
-        fine = taylor_coefficients_on_circle(g.T, size, radius)
-        coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, radius)
-        return fine, float(np.abs(fine - coarse).max())
-
-
 def transfer_matrix_analytic(
     imap: IntervalMap, size: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS
 ) -> TransferMatrix:
@@ -132,13 +108,12 @@ def transfer_matrix_analytic(
     >= 4*size, at least 64, and doubles until doubling it moves no entry by
     more than 1e-10; ``method`` names the count that settled.  The ceiling
     is DEFAULT_SAMPLES, raised to the next power of two >= 4*size.  Each
-    rung evaluates every inverse branch and its derivative once on the 2*S
-    circle and checks the non-affine ones for cut jumps there before any
-    power or FFT (``maps._branches_on_circle``).
-    Below the ceiling a failed rung (cut jump, drift, non-finite entry)
-    only climbs: a pole just outside the circle makes coarse neighbours
-    jump.  The ceiling rung raises BranchCutError for a cut, ParameterError
-    for a non-finite matrix, and AliasingError for drift above 1e-10.
+    rung reads every inverse branch and its derivative once, on the circle
+    ``maps._branches_on_circle`` settles at from 2*S points up to 2*ceiling
+    (it climbs past cut jumps itself, and raises BranchCutError at its
+    ceiling); S is half that count.  A rung below the ceiling whose drift is
+    above 1e-10 or not finite only climbs; the ceiling rung raises
+    ParameterError for a non-finite matrix and AliasingError otherwise.
     """
     if size < 1:
         raise ParameterError("size must be positive")
@@ -147,26 +122,29 @@ def transfer_matrix_analytic(
     least = 1 << (4 * size - 1).bit_length()
     ceiling = max(DEFAULT_SAMPLES, least)
     samples = min(ceiling, max(_START_SAMPLES, least))
-    while samples < ceiling:
-        try:
-            fine, drift = _cauchy_rung(imap, size, sample_radius, samples)
-        except BranchCutError:
-            drift = math.nan
+    while True:
+        with np.errstate(all="ignore"):  # a radius far from 1 overflows; checked below
+            count, values = _branches_on_circle(imap, sample_radius, 2 * samples, 2 * ceiling)
+            samples = count // 2
+            powers = np.empty((size, count), dtype=complex)
+            g = np.zeros((size, count), dtype=complex)
+            for branch, (phi, dphi) in zip(imap.branches, values):
+                g += branch.sign * dphi * _power_rows(phi, powers)
+            # L[k, l] = [z^k] g_l(z); the even points of the 2*S circle are the S circle
+            fine = taylor_coefficients_on_circle(g.T, size, sample_radius)
+            coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius)
+            drift = float(np.abs(fine - coarse).max())
         if drift <= 1e-10:
+            return TransferMatrix(l=fine, method=f"cauchy(radius={sample_radius}, samples={samples})")
+        if samples >= ceiling:
             break
-        samples = min(2 * samples, ceiling)
-    else:  # the ceiling rung, the only one that raises
-        fine, drift = _cauchy_rung(imap, size, sample_radius, samples)
-        if not math.isfinite(drift):
-            raise ParameterError(
-                f"sample radius {sample_radius} gives a non-finite transfer matrix"
-            )
-        if not drift <= 1e-10:
-            raise AliasingError(
-                f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
-                "reduce the sampling radius"
-            )
-    return TransferMatrix(l=fine, method=f"cauchy(radius={sample_radius}, samples={samples})")
+        samples *= 2
+    if not math.isfinite(drift):
+        raise ParameterError(f"sample radius {sample_radius} gives a non-finite transfer matrix")
+    raise AliasingError(
+        f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
+        "reduce the sampling radius"
+    )
 
 
 def projection_error_bound(
@@ -190,12 +168,13 @@ def derivative_sum_estimate(imap: IntervalMap, radius: float) -> float:
     """Grid estimate (not a certified supremum) of sup over |z| = radius of
     sum_l |phi_l'(z)|, inflated by _DERIV_SUM_SAFETY.
 
-    The branches are read on the _CIRCLE_POINTS circle of
-    ``_branches_on_circle``, so a circle on which a non-affine branch fails
-    the cut check raises BranchCutError instead of giving a number for a
-    disk on which the map is not analytic.
+    The branches are read by ``_branches_on_circle`` from _CIRCLE_POINTS
+    points, doubled past a cut jump up to _CIRCLE_CEILING, so a steep
+    branch just inside its branch points is read on a finer circle, and a
+    circle that crosses a cut raises BranchCutError instead of giving a
+    number for a disk on which the map is not analytic.
     """
-    values = _branches_on_circle(imap, radius, _CIRCLE_POINTS)
+    _, values = _branches_on_circle(imap, radius, _CIRCLE_POINTS, _CIRCLE_CEILING)
     total = sum(np.abs(dphi) for _, dphi in values)
     return _DERIV_SUM_SAFETY * float(total.max())
 

@@ -144,6 +144,20 @@ class TestRunSweep:
         assert len(reread) == len(records)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            pytest.param("5,inf,0,1.0,0.0,1.0,0.0,0.0,0.0,0", id="short-row"),
+            pytest.param("5,inf,0,one,0,0,0,0,0,0,0,ok", id="non-numeric-field"),
+        ],
+    )
+    def test_malformed_row_names_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        write_records([SweepRecord(5, None, 0, 1.0, 1.0, 0.0, 0.0, 0, 0.0, "ok")], path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ConfigError, match="line 3"):
+            read_records(path)
+
     def test_inf_literal_in_csv(self, tmp_path):
         config = SweepConfig(
             imap=make_skewed_doubling(SKEW),

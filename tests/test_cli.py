@@ -214,6 +214,9 @@ def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
                      id="blaschke-disk-past-cut"),
         pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.15\n", 0,
                      id="blaschke-disk-inside-cut"),
+        # steep but analytic just inside the branch points
+        pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.19\n", 0,
+                     id="blaschke-disk-below-branch-points"),
         # affine branches are entire: no disk is past a cut
         pytest.param(f"map = skewed_doubling\na = {SKEW}\nN = 5\nr = 2.71\nR_disk = 100\n", 0,
                      id="affine-large-disk"),

@@ -37,6 +37,9 @@ class TestSkewedDoubling:
             T(1.5)
         with pytest.raises(MapDomainError):
             T(np.array([0.0, -1.2]))
+        with pytest.raises(MapDomainError):
+            make_blaschke(0.3)(np.array([np.nan, 0.2]))
+        assert T(np.array([])).shape == (0,)
 
     def test_critical_point_uses_left_branch(self):
         T = make_skewed_doubling(0.3)
@@ -102,6 +105,8 @@ class TestBlaschke:
     def test_analyticity_check(self):
         B = make_blaschke(0.3)
         verify_branch_analyticity(B, 1.1)
+        # steep just inside the branch points: passes on a finer circle
+        verify_branch_analyticity(B, 1.19)
         with pytest.raises(BranchCutError):
             # cosh growth pushes |mu cos(pi z/2)| over 1 on |z| = 1.5
             verify_branch_analyticity(B, 1.5)

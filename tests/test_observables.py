@@ -109,6 +109,9 @@ class TestEvalBasis:
     def test_domain_check(self):
         with pytest.raises(MapDomainError):
             eval_basis(monomial_basis(3), 1.0001)
+        with pytest.raises(MapDomainError):
+            eval_basis(monomial_basis(3), np.array([np.nan, 0.2]))
+        assert eval_basis(monomial_basis(3), np.array([])).shape == (3, 0)
 
     def test_basis_validation(self):
         with pytest.raises(ParameterError):

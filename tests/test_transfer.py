@@ -365,6 +365,12 @@ class TestBounds:
         assert math.isfinite(derivative_sum_estimate(blaschke, 1.15))
         with pytest.raises(BranchCutError):
             derivative_sum_estimate(blaschke, 1.4)
+        # analytic but steep up to the branch points: the circle doubles
+        # from 720 points (92160 at 1.192) instead of refusing the disk
+        for radius in (1.175, 1.18, 1.19, 1.192):
+            assert math.isfinite(derivative_sum_estimate(blaschke, radius)), radius
+        with pytest.raises(BranchCutError):
+            derivative_sum_estimate(blaschke, 1.193)
 
 
 @pytest.mark.parametrize(
