@@ -173,6 +173,8 @@ class SweepConfig:
             if rule == "corollary1":
                 return [(n, node_schedule(n, value)) for n in self.n_values]
             if rule == "quadratic":
+                if not value > 0:
+                    raise ParameterError(f"quadratic(c) needs c > 0, got {value}")
                 return [(n, max(n, math.ceil(value * n * n))) for n in self.n_values]
             raise ConfigError(f"unknown schedule rule {rule!r}")
         return [(n, m) for n in self.n_values for m in self.m_values]
@@ -275,8 +277,9 @@ def fit_decay(records: Iterable[SweepRecord], mode: str) -> FitResult:
         else:
             xs.append(float(rec.n_observables))
         ys.append(math.log(rec.delta))
-    if len(xs) < 3:
-        raise InsufficientDataError(f"need at least 3 usable records, have {len(xs)}")
+    if len(xs) < 3 or len(set(xs)) < 2:
+        raise InsufficientDataError(f"need at least 3 usable records at 2 or more x values, "
+                                    f"have {len(xs)} at {len(set(xs))}")
     slope, intercept = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
     return FitResult(slope=float(slope), intercept=float(intercept))
 

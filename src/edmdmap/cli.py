@@ -15,8 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     FIGURE_NAMES,
     SweepPairs,
@@ -113,8 +111,7 @@ def _projection_report(imap, n_values) -> list[str]:
     r, big_r = imap.expansion_params
     rho = math.sqrt(r * big_r)
     try:
-        with np.errstate(all="ignore"):  # a huge R_disk overflows; caught below
-            sup = derivative_sum_estimate(imap, big_r)
+        sup = derivative_sum_estimate(imap, big_r)
     except BranchCutError as exc:
         raise ConfigError(f"keys 'r' and 'R_disk': the circle |z| = R_disk = {big_r} "
                           f"crosses a branch cut ({exc})") from exc

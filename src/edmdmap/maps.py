@@ -41,11 +41,11 @@ class Branch:
     """One monotone branch of a full-branch interval map.
 
     ``forward`` acts on real points of ``[domain_lo, domain_hi]``;
-    ``inverse`` and ``inverse_derivative`` accept complex arrays and must be
-    analytic on the disks used by callers (``_branches_on_circle`` checks a
-    circle).  ``affine`` holds ``(alpha, beta)`` when the inverse branch is
-    exactly ``alpha*z + beta``, enabling closed forms; such a branch is
-    entire.  ``sign`` is derived: the sign of the real part of the inverse
+    ``inverse`` and ``inverse_derivative`` accept complex arrays; ``bounds``
+    needs them analytic on its disk (``_branches_on_circle`` checks its
+    circle), the Cauchy L_N only their branch sum.  ``affine`` holds
+    ``(alpha, beta)`` when the inverse branch is exactly ``alpha*z + beta``,
+    enabling closed forms; such a branch is entire.  ``sign`` is derived: the sign of the real part of the inverse
     derivative at 0, +1 for an increasing branch and -1 for a decreasing one.
     """
 
@@ -235,32 +235,31 @@ def exact_spectrum_values(imap: IntervalMap, n_max: int) -> np.ndarray:
     raise UnsupportedMapError("map has no exact reference spectrum")
 
 
-def _branches_on_circle(
-    imap: IntervalMap, radius: float, count: int, ceiling: int
-) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
-    """The count K and the values (phi, phi') of every inverse branch, one
-    pair per branch, on the closed circle z_j = radius * exp(2*pi*i*j/K).
+def _branches_on_circle(imap: IntervalMap, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The values (phi, phi') of every inverse branch, one pair per branch,
+    on the closed circle z_j = radius * exp(2*pi*i*j/K), checked by the
+    branch-cut rule of the ``bounds`` disk (the Cauchy ``L_N`` applies none).
 
-    The angles are rounded as 2*pi*j/K, so the even points of a 2*K circle
-    are exactly the points of the K circle.  This is the only place a map's
-    inverse branches are read on a circle and the cut rule is applied
-    (``_checked_pair``): an affine branch is entire and unchecked; every
-    other value must be finite, and no two neighbours, the last and the
-    first included, may differ by 0.5 or more.  A cut jumps by O(1) on any
-    circle, a steep analytic branch only on coarse ones, so K starts at
-    ``count`` and doubles while the rule fails; at ``ceiling`` a failure
-    raises BranchCutError.  A radius that is not positive (NaN included)
-    raises ParameterError.
+    The rule (``_checked_pair``): an affine branch is entire and unchecked;
+    every other value must be finite, and no two neighbours, the last and
+    the first included, may differ by 0.5 or more.  A cut jumps by O(1) on
+    any circle, a steep analytic branch only on coarse ones, so K starts at
+    _CIRCLE_POINTS and doubles while the rule fails; at _CIRCLE_CEILING a
+    failure raises BranchCutError.  The circle is read with floating-point
+    warnings off, so an overflow at a huge radius fails the rule too.  A
+    radius that is not positive (NaN included) raises ParameterError.
     """
     if not radius > 0:
         raise ParameterError("radius must be positive")
+    count = _CIRCLE_POINTS
     while True:
         circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
         try:
-            return count, [_checked_pair(index, branch, circle, radius)
-                           for index, branch in enumerate(imap.branches)]
+            with np.errstate(all="ignore"):
+                return [_checked_pair(index, branch, circle, radius)
+                        for index, branch in enumerate(imap.branches)]
         except BranchCutError:
-            if count >= ceiling:
+            if count >= _CIRCLE_CEILING:
                 raise
         count *= 2
 
@@ -287,8 +286,6 @@ def _checked_pair(
 
 
 def verify_branch_analyticity(imap: IntervalMap, radius: float) -> None:
-    """Check the inverse branches for branch-cut crossings on the circle
-    |z| = radius by the rule of ``_branches_on_circle``, from _CIRCLE_POINTS
-    points doubled up to _CIRCLE_CEILING: raises BranchCutError where the
-    rule still fails at the ceiling."""
-    _branches_on_circle(imap, radius, _CIRCLE_POINTS, _CIRCLE_CEILING)
+    """Raise BranchCutError where the inverse branches fail the cut rule of
+    ``_branches_on_circle`` on the circle |z| = radius."""
+    _branches_on_circle(imap, radius)

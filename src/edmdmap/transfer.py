@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, NonAffineBranchError, ParameterError
-from .maps import _CIRCLE_CEILING, _CIRCLE_POINTS, IntervalMap, _branches_on_circle
+from .maps import IntervalMap, _branches_on_circle
 from .observables import _power_rows
 
 __all__ = [
@@ -108,12 +108,16 @@ def transfer_matrix_analytic(
     >= 4*size, at least 64, and doubles until doubling it moves no entry by
     more than 1e-10; ``method`` names the count that settled.  The ceiling
     is DEFAULT_SAMPLES, raised to the next power of two >= 4*size.  Each
-    rung reads every inverse branch and its derivative once, on the circle
-    ``maps._branches_on_circle`` settles at from 2*S points up to 2*ceiling
-    (it climbs past cut jumps itself, and raises BranchCutError at its
-    ceiling); S is half that count.  A rung below the ceiling whose drift is
-    above 1e-10 or not finite only climbs; the ceiling rung raises
-    ParameterError for a non-finite matrix and AliasingError otherwise.
+    rung reads every inverse branch and its derivative once, on the 2S
+    points radius*exp(2*pi*i*j/2S), whose even points are the S circle.  A
+    rung below the ceiling whose drift is above 1e-10 or not finite only
+    climbs; the ceiling rung raises ParameterError for a non-finite matrix
+    and AliasingError otherwise: at a large radius, the branch sum is
+    singular near the circle.  This drift is the only guard (the cut rule
+    serves the ``bounds`` disk alone): the sum is symmetric in the branches,
+    so it stays analytic where they swap across a cut (Blaschke past
+    +-1.193i).  A pole strictly inside the circle, at |z| = rho, aliases in
+    at (rho/radius)^S, below the drift tolerance, and goes unseen.
     """
     if size < 1:
         raise ParameterError("size must be positive")
@@ -123,13 +127,13 @@ def transfer_matrix_analytic(
     ceiling = max(DEFAULT_SAMPLES, least)
     samples = min(ceiling, max(_START_SAMPLES, least))
     while True:
+        circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(2 * samples) / (2 * samples)))
         with np.errstate(all="ignore"):  # a radius far from 1 overflows; checked below
-            count, values = _branches_on_circle(imap, sample_radius, 2 * samples, 2 * ceiling)
-            samples = count // 2
-            powers = np.empty((size, count), dtype=complex)
-            g = np.zeros((size, count), dtype=complex)
-            for branch, (phi, dphi) in zip(imap.branches, values):
-                g += branch.sign * dphi * _power_rows(phi, powers)
+            powers = np.empty((size, 2 * samples), dtype=complex)
+            g = np.zeros_like(powers)
+            for branch in imap.branches:
+                dphi = np.asarray(branch.inverse_derivative(circle))
+                g += branch.sign * dphi * _power_rows(branch.inverse(circle), powers)
             # L[k, l] = [z^k] g_l(z); the even points of the 2*S circle are the S circle
             fine = taylor_coefficients_on_circle(g.T, size, sample_radius)
             coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius)
@@ -168,14 +172,12 @@ def derivative_sum_estimate(imap: IntervalMap, radius: float) -> float:
     """Grid estimate (not a certified supremum) of sup over |z| = radius of
     sum_l |phi_l'(z)|, inflated by _DERIV_SUM_SAFETY.
 
-    The branches are read by ``_branches_on_circle`` from _CIRCLE_POINTS
-    points, doubled past a cut jump up to _CIRCLE_CEILING, so a steep
-    branch just inside its branch points is read on a finer circle, and a
-    circle that crosses a cut raises BranchCutError instead of giving a
+    The branches are read by ``_branches_on_circle``, which reads a steep
+    branch just inside its branch points on a finer circle, and raises
+    BranchCutError for a circle that crosses a cut instead of giving a
     number for a disk on which the map is not analytic.
     """
-    _, values = _branches_on_circle(imap, radius, _CIRCLE_POINTS, _CIRCLE_CEILING)
-    total = sum(np.abs(dphi) for _, dphi in values)
+    total = sum(np.abs(dphi) for _, dphi in _branches_on_circle(imap, radius))
     return _DERIV_SUM_SAFETY * float(total.max())
 
 

@@ -434,6 +434,10 @@ class TestFitDecay:
         rows = [SweepRecord(5, 10, 1, 0j, 0j, 0.1, 0.0, 0, 1.0)] * 2
         with pytest.raises(InsufficientDataError):
             fit_decay(rows, "algebraic")
+        # three records at one M: polyfit would give a slope with only a RankWarning
+        rows = [SweepRecord(5, 100, 1, 0j, 0j, delta, 0.0, 0, 1.0) for delta in (0.1, 0.2, 0.3)]
+        with pytest.raises(InsufficientDataError):
+            fit_decay(rows, "algebraic")
 
     def test_skips_failed_and_infinite_rows(self):
         rows = [SweepRecord(5, m, 1, 0j, 0j, 7.0 / m, 0.0, 0, 1.0) for m in (10, 100, 1000)]

@@ -109,6 +109,10 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
                      id="fourier-even-N"),
         pytest.param(BASE.replace("M = 10", "schedule = corollary1(0.5)"), "schedule",
                      id="schedule-rate"),
+        pytest.param(BASE.replace("M = 10", "schedule = quadratic(-5)"), "schedule",
+                     id="schedule-quadratic-negative"),
+        pytest.param(BASE.replace("M = 10", "schedule = quadratic(0)"), "schedule",
+                     id="schedule-quadratic-zero"),
         pytest.param(BASE + "delta = 0.25\n", "delta",
                      id="delta-above-2-over-M"),
         pytest.param(BASE.replace("N = 3", "N = 6,7").replace("M = 10", "M = inf")
