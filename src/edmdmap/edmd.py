@@ -129,6 +129,10 @@ class EdmdPair:
         )
 
 
+_ALL_ROWS = (slice(None),)
+_PARITY_ROWS = (slice(0, None, 2), slice(1, None, 2))
+
+
 def _chunk_nodes(size: int) -> int:
     """Nodes per build_finite chunk: an (N, c) float64 table stays within 1 MiB."""
     return max(1, 2**17 // size)
@@ -141,19 +145,30 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
     beside the node array and no (N, M) observable table is ever built.
     H is a sum of exactly symmetric chunk Gram products (x @ x.T takes the
     symmetric rank-k BLAS update), so it is exactly symmetric.
+
+    An odd map (``imap.odd``) on an even count of midpoint nodes with
+    monomials is mirrored: x^k(-x) = (-1)^k x^k and T(-x) = -T(x), so every
+    entry with k + l odd is zero, and every other entry is the average over
+    the M/2 nodes x > 0.  Only those nodes are read, and only the even-even
+    and odd-odd blocks are summed.
     """
     size = basis.size
     step = _chunk_nodes(size)
     h = np.zeros((size, size))
     g = np.zeros((size, size))
-    for lo in range(0, nodes.m, step):
+    first, groups = 0, _ALL_ROWS
+    if (basis.kind == MONOMIALS and imap.odd and nodes.m % 2 == 0
+            and nodes.delta == 1.0 / nodes.m):
+        first, groups = nodes.m // 2, _PARITY_ROWS  # nodes[M/2:] are the x > 0
+    for lo in range(first, nodes.m, step):
         x = nodes.nodes[lo : lo + step]
         psi_x = eval_basis(basis, x)
         psi_tx = eval_basis(basis, imap(x))
-        h += psi_x @ psi_x.T
-        g += psi_tx @ psi_x.T
-    h /= nodes.m
-    g /= nodes.m
+        for rows in groups:  # unnamed row views: a named one keeps psi_x alive into the next chunk
+            h[rows, rows] += psi_x[rows] @ psi_x[rows].T
+            g[rows, rows] += psi_tx[rows] @ psi_x[rows].T
+    h /= nodes.m - first
+    g /= nodes.m - first
     return EdmdPair(
         h=h,
         g=g,

@@ -34,6 +34,7 @@ __all__ = [
 
 _CIRCLE_POINTS = 720
 _CIRCLE_CEILING = _CIRCLE_POINTS << 7  # 92160 points reach |z| = 1.192 on Blaschke mu = 0.3
+_ODD_PROBES = np.linspace(0.0, 1.0, 18)[1:-1]  # 16 points in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,9 @@ class IntervalMap:
     critical set.  ``spectrum_kind``/``spectrum_param`` identify an exactly
     known transfer operator spectrum ("skewed_doubling", "blaschke") or ""
     when none is.  ``expansion_params`` is an optional, uncertified pair
-    ``(r, R)`` with ``1 < r < R`` used only in bound reporting.
+    ``(r, R)`` with ``1 < r < R`` used only in bound reporting.  ``odd`` is
+    derived: true when T(-p) == -T(p) holds exactly in float64 on the fixed
+    probe points _ODD_PROBES, so a map odd only up to rounding is not odd.
     """
 
     branches: tuple[Branch, ...]
@@ -87,6 +90,7 @@ class IntervalMap:
     spectrum_param: float = 0.0
     expansion_params: tuple[float, float] | None = None
     critical_points: tuple[float, ...] = field(init=False)
+    odd: bool = field(init=False)
 
     def __post_init__(self) -> None:
         ends = [(b.domain_lo, b.domain_hi) for b in self.branches]
@@ -101,6 +105,7 @@ class IntervalMap:
             if not 1.0 < r < big_r:
                 raise ParameterError("expansion parameters must satisfy 1 < r < R")
         object.__setattr__(self, "critical_points", tuple(hi for _, hi in ends[:-1]))
+        object.__setattr__(self, "odd", bool(np.array_equal(self(-_ODD_PROBES), -self(_ODD_PROBES))))
 
     @property
     def n_branches(self) -> int:

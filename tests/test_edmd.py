@@ -1,6 +1,7 @@
 """EDMD matrix pairs: node sets, finite/infinite builders, eigensolve, schedule."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,35 @@ class TestNodes:
             nodes_equidistant(m)
 
 
+def mirrored(basis, nodes):
+    """Whether build_finite mirrors this odd-map build (Blaschke maps are odd)."""
+    return basis.kind == "monomials" and nodes.m % 2 == 0 and nodes.delta == 1.0 / nodes.m
+
+
+def mirrored_reference(imap, basis, nodes):
+    """The mirrored pair from the whole x > 0 half table: parity blocks
+    averaged over the M/2 nodes, off-parity entries 0."""
+    half = nodes.nodes[nodes.m // 2 :]
+    psi_x, psi_tx = eval_basis(basis, half), eval_basis(basis, imap(half))
+    h, g = np.zeros((basis.size, basis.size)), np.zeros((basis.size, basis.size))
+    for p in (0, 1):
+        h[p::2, p::2] = psi_x[p::2] @ psi_x[p::2].T
+        g[p::2, p::2] = psi_tx[p::2] @ psi_x[p::2].T
+    return h / (nodes.m // 2), g / (nodes.m // 2)
+
+
+def full_loop(imap, basis, nodes):
+    """build_finite's chunk loop over every node and every row."""
+    step, size = edmd._chunk_nodes(basis.size), basis.size
+    h, g = np.zeros((size, size)), np.zeros((size, size))
+    for lo in range(0, nodes.m, step):
+        x = nodes.nodes[lo : lo + step]
+        psi_x, psi_tx = eval_basis(basis, x), eval_basis(basis, imap(x))
+        h += psi_x @ psi_x.T
+        g += psi_tx @ psi_x.T
+    return h / nodes.m, g / nodes.m
+
+
 class TestBuildFinite:
     def test_constant_observable(self):
         pair = build_finite(make_skewed_doubling(0.0), monomial_basis(1), nodes_equidistant(2, 0.5))
@@ -114,8 +144,9 @@ class TestBuildFinite:
             h, g = psi_x @ psi_x.T / m, psi_tx @ psi_x.T / m
             pair = build_finite(imap, basis, nodes)
             assert np.array_equal(pair.h, pair.h.T)
-            if m <= c:  # one chunk is the whole table
-                assert np.array_equal(pair.h, h) and np.array_equal(pair.g, g)
+            if m <= c:  # one chunk is the whole table, or its x > 0 half when mirrored
+                ref = mirrored_reference(imap, basis, nodes) if mirrored(basis, nodes) else (h, g)
+                assert np.array_equal(pair.h, ref[0]) and np.array_equal(pair.g, ref[1])
             assert np.abs(pair.h - h).max() <= 1e-14
             assert np.abs(pair.g - g).max() <= 1e-14
 
@@ -129,6 +160,62 @@ class TestBuildFinite:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestMirroredBuild:
+    # odd map, monomials, an even count of midpoint nodes: build_finite sums
+    # over the M/2 nodes x > 0 and the two parity blocks only
+    @pytest.mark.parametrize("size", [15, 16])
+    @pytest.mark.parametrize("m", [2, 100, 2 * 8192 + 2, 10**5])
+    def test_reads_half_the_nodes(self, size, m):
+        read = []
+
+        def counted(forward):
+            return lambda x: read.append(np.size(x)) or forward(x)
+
+        blaschke = make_blaschke(0.3)
+        imap = replace(blaschke, branches=tuple(
+            replace(b, forward=counted(b.forward)) for b in blaschke.branches))
+        assert imap.odd
+        read.clear()  # the oddness probe ran at construction
+        pair = build_finite(imap, monomial_basis(size), nodes_equidistant(m))
+        assert sum(read) == m // 2
+        k = np.arange(size)
+        off_parity = (k[:, None] + k[None, :]) % 2 == 1
+        assert np.all(pair.h[off_parity] == 0.0) and np.all(pair.g[off_parity] == 0.0)
+        assert np.array_equal(pair.h, pair.h.T)
+        ref_h, ref_g = full_loop(blaschke, monomial_basis(size), nodes_equidistant(m))
+        assert np.abs(pair.h - ref_h).max() <= 1e-14
+        assert np.abs(pair.g - ref_g).max() <= 1e-14
+
+    @pytest.mark.parametrize("imap, basis, m, delta", [
+        (make_blaschke(0.3), monomial_basis(16), 101, None),
+        (make_blaschke(0.3), monomial_basis(16), 3 * 8192 + 5, None),
+        (make_blaschke(0.3), monomial_basis(16), 1000, 0.0),
+        (make_blaschke(0.3), monomial_basis(16), 1000, 0.6 / 1000),
+        (make_blaschke(0.3), fourier_basis(21), 1000, None),
+        (make_skewed_doubling(SKEW), monomial_basis(10), 10**4, None),
+    ], ids=["odd-m", "odd-m-chunks", "delta0", "offset", "fourier", "skewed"])
+    def test_other_builds_bit_identical_to_full_loop(self, imap, basis, m, delta):
+        nodes = nodes_equidistant(m, delta)
+        pair = build_finite(imap, basis, nodes)
+        h, g = full_loop(imap, basis, nodes)
+        assert np.array_equal(pair.h, h) and np.array_equal(pair.g, g)
+
+    def test_memory_no_higher_than_full_path(self):
+        # a chunk holds two 1 MiB tables and the map's temporaries (3.07 MiB
+        # in all); a named row view would keep the previous chunk's table alive too
+        imap, basis, m = make_blaschke(0.3), monomial_basis(16), 10**6
+        peaks = []
+        for nodes in (nodes_equidistant(m), nodes_equidistant(m, 0.0)):
+            build_finite(imap, basis, nodes)  # first-call set-up is not the build's
+            tracemalloc.start()
+            try:
+                build_finite(imap, basis, nodes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] < 3.5 * 2**20
 
 
 class TestBuildInfinite:

@@ -3,15 +3,19 @@
 tests/data/<name>.csv is the output of ``edmdmap figure --name <name>``
 without its ``wall_ms`` column.  Each test regenerates one recipe and
 compares it with that file row by row; on a mismatch it lists every
-differing row with the stored and the regenerated values.  A change that
-moves rows on purpose regenerates all seven files with
+differing row with the stored and the regenerated values.
+tests/data/readme_bounds.txt is the standard output of ``edmdmap bounds``
+on the README's config block, compared byte for byte.  A change that
+moves rows on purpose regenerates all eight files with
 
     PYTHONPATH=src python tests/test_figure_data.py
 
 and lists the moved rows in CHANGES.md.
 """
 
+import contextlib
 import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -25,8 +29,10 @@ from edmdmap.bench import (
     write_radius_records,
     write_records,
 )
+from edmdmap.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parents[1] / "README.md"
 RTOL = 1e-9
 
 # sweep CSV columns without wall_ms:
@@ -48,6 +54,19 @@ def figure_rows(name: str) -> list[list[str]]:
             rows = list(csv.reader(handle))
     keep = [i for i, column in enumerate(rows[0]) if column != "wall_ms"]
     return [[row[i] for i in keep] for row in rows]
+
+
+def readme_bounds_output() -> bytes:
+    """Standard output of ``edmdmap bounds`` on the README's config block."""
+    block = README.read_text().split("### Configuration format", 1)[1].split("```")[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "readme.cfg"
+        path.write_text(block)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(["bounds", "--config", str(path)])
+    assert status == 0, f"bounds exited {status}"
+    return out.getvalue().encode()
 
 
 def close(old: complex, new: complex, tol: float) -> bool:
@@ -92,9 +111,15 @@ def test_figure_matches_pinned_data(name):
                     + "\n".join(differing), pytrace=False)
 
 
+def test_readme_bounds_matches_pinned_output():
+    assert readme_bounds_output() == (DATA / "readme_bounds.txt").read_bytes()
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for figure in FIGURE_NAMES:
         with open(DATA / f"{figure}.csv", "w", newline="") as out:
             csv.writer(out).writerows(figure_rows(figure))
         print(f"wrote {DATA / figure}.csv")
+    (DATA / "readme_bounds.txt").write_bytes(readme_bounds_output())
+    print(f"wrote {DATA / 'readme_bounds.txt'}")

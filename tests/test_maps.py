@@ -211,6 +211,30 @@ class TestMapInvariants:
             IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup, expansion_params=(3.0, 2.0))
 
 
+class TestOdd:
+    # odd means T(-x) == -T(x) exactly in float64 on the probe points
+    @pytest.mark.parametrize("mu", [-0.3, 0.0, 0.2, 0.3])
+    def test_blaschke_is_odd(self, mu):
+        assert make_blaschke(mu).odd
+
+    def test_unskewed_doubling_is_odd(self):
+        assert make_skewed_doubling(0.0).odd
+
+    @pytest.mark.parametrize("a", [1e-16, 0.4, SKEW])
+    def test_skewed_doubling_is_not_odd(self, a):
+        # at a = 1e-16 the two branches' coefficients differ by one rounding
+        assert not make_skewed_doubling(a).odd
+
+    def test_tent_map_is_not_odd(self):
+        from test_transfer import tent_map
+
+        assert not tent_map().odd
+
+    def test_survives_replace(self):
+        imap = replace(make_blaschke(0.3), expansion_params=(1.05, 1.15))
+        assert imap.odd and imap.expansion_params == (1.05, 1.15)
+
+
 # |a| <= 0.95: the branch slope 2/(1 - |a|) scales rounding, and the round
 # trip misses 1e-14 from |a| = 0.99 on (1.1e-14 there, 1.1e-13 at 0.999)
 MAPS = st.one_of(
