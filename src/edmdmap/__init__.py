@@ -59,7 +59,6 @@ from .transfer import (
     TransferMatrix,
     derivative_sum_estimate,
     projection_error_bound,
-    taylor_coefficients_on_circle,
     schedule_regime,
     transfer_matrix_affine,
     transfer_matrix_analytic,

@@ -106,15 +106,15 @@ def _cmd_figure(args) -> int:
 def _projection_report(imap, n_values) -> list[str]:
     """The lines of the projection-bound section, computed in full before
     any is printed; (r, R_disk) giving a non-finite rho, derivative-sum
-    estimate or bound, or a circle |z| = R_disk that crosses a branch cut,
-    is a configuration error."""
+    estimate or bound, or a disk |z| <= R_disk on which an inverse branch
+    is not analytic, is a configuration error."""
     r, big_r = imap.expansion_params
     rho = math.sqrt(r * big_r)
     try:
         sup = derivative_sum_estimate(imap, big_r)
     except BranchCutError as exc:
-        raise ConfigError(f"keys 'r' and 'R_disk': the circle |z| = R_disk = {big_r} "
-                          f"crosses a branch cut ({exc})") from exc
+        raise ConfigError(f"keys 'r' and 'R_disk': an inverse branch is not analytic on "
+                          f"the disk |z| <= R_disk = {big_r} ({exc})") from exc
     bounds = []
     if r < rho < big_r and math.isfinite(sup):  # an overflowed rho is inf, not below R_disk
         bounds = [projection_error_bound(r, big_r, rho, n, sup) for n in n_values]

@@ -26,11 +26,11 @@ class NonAffineBranchError(EdmdMapError):
 
 
 class BranchCutError(EdmdMapError):
-    """Inverse-branch evaluation crossed a branch cut on the sampling circle."""
+    """An inverse branch keeps negative Fourier modes on the circle of a ``bounds`` disk."""
 
 
 class AliasingError(EdmdMapError):
-    """Circle-sampled Taylor coefficients changed under sample doubling."""
+    """The Cauchy branch sum keeps negative Fourier modes at the sample ceiling."""
 
 
 class QuadratureError(EdmdMapError):

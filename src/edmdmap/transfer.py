@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, NonAffineBranchError, ParameterError
-from .maps import IntervalMap, _branches_on_circle
+from .maps import _LEAK_TOLERANCE, IntervalMap, _branches_on_circle, _circle_dft
 from .observables import _power_rows
 
 __all__ = [
     "TransferMatrix",
     "transfer_matrix_affine",
     "transfer_matrix_analytic",
-    "taylor_coefficients_on_circle",
     "projection_error_bound",
     "derivative_sum_estimate",
     "schedule_regime",
@@ -82,42 +81,21 @@ def transfer_matrix_affine(imap: IntervalMap, size: int) -> TransferMatrix:
     return TransferMatrix(l=l_mat, method="affine_closed_form")
 
 
-def taylor_coefficients_on_circle(
-    values_on_circle: np.ndarray, n_coeffs: int, radius: float
-) -> np.ndarray:
-    """Taylor coefficients c_0..c_{n-1} of an analytic function from its
-    values at equispaced points on |z| = radius (discrete Cauchy integral).
-
-    values_on_circle[j] must be f(radius * exp(2*pi*i*j/samples)), and may
-    be a (samples, m) block for m functions at once.
-    """
-    samples = values_on_circle.shape[0]
-    if n_coeffs > samples:
-        raise ParameterError("more coefficients requested than circle samples")
-    coeffs = np.fft.fft(values_on_circle, axis=0)[:n_coeffs] / samples
-    scale = radius ** -np.arange(n_coeffs, dtype=float)
-    return coeffs * (scale[:, np.newaxis] if values_on_circle.ndim > 1 else scale)
-
-
 def transfer_matrix_analytic(
     imap: IntervalMap, size: int, sample_radius: float = DEFAULT_SAMPLE_RADIUS
 ) -> TransferMatrix:
     """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*phi(z)^l.
 
     The sample count S climbs a ladder.  It starts at the next power of two
-    >= 4*size, at least 64, and doubles until doubling it moves no entry by
-    more than 1e-10; ``method`` names the count that settled.  The ceiling
-    is DEFAULT_SAMPLES, raised to the next power of two >= 4*size.  Each
-    rung reads every inverse branch and its derivative once, on the 2S
-    points radius*exp(2*pi*i*j/2S), whose even points are the S circle.  A
-    rung below the ceiling whose drift is above 1e-10 or not finite only
-    climbs; the ceiling rung raises ParameterError for a non-finite matrix
-    and AliasingError otherwise: at a large radius, the branch sum is
-    singular near the circle.  This drift is the only guard (the cut rule
-    serves the ``bounds`` disk alone): the sum is symmetric in the branches,
-    so it stays analytic where they swap across a cut (Blaschke past
-    +-1.193i).  A pole strictly inside the circle, at |z| = rho, aliases in
-    at (rho/radius)^S, below the drift tolerance, and goes unseen.
+    >= 4*size, at least 64, and doubles until the sums g_l pass the leak
+    test of ``maps._circle_dft``; ``method`` names the count that settled.
+    The ceiling is DEFAULT_SAMPLES, raised to the next power of two
+    >= 4*size.  Each rung reads every branch once on the 2S points
+    radius*exp(2*pi*i*j/2S) and takes one DFT of g_l: L[k, l] is bin k
+    times radius^-k, and the leak is scaled by the largest such factor.
+    The ceiling rung raises ParameterError for a non-finite leak and
+    AliasingError otherwise.  The sum is symmetric in the branches, so it
+    stays analytic where they swap across a cut (Blaschke past +-1.193i).
     """
     if size < 1:
         raise ParameterError("size must be positive")
@@ -134,21 +112,20 @@ def transfer_matrix_analytic(
             for branch in imap.branches:
                 dphi = np.asarray(branch.inverse_derivative(circle))
                 g += branch.sign * dphi * _power_rows(branch.inverse(circle), powers)
-            # L[k, l] = [z^k] g_l(z); the even points of the 2*S circle are the S circle
-            fine = taylor_coefficients_on_circle(g.T, size, sample_radius)
-            coarse = taylor_coefficients_on_circle(g[:, ::2].T, size, sample_radius)
-            drift = float(np.abs(fine - coarse).max())
-        if drift <= 1e-10:
-            return TransferMatrix(l=fine, method=f"cauchy(radius={sample_radius}, samples={samples})")
+            # L[k, l] = [z^k] g_l(z) = radius^-k times bin k of the DFT of g_l
+            coeffs, leak = _circle_dft(g)
+            scale = sample_radius ** -np.arange(size, dtype=float)
+            leak *= scale.max()
+        if leak <= _LEAK_TOLERANCE:
+            return TransferMatrix(l=(coeffs[:, :size] * scale).T,
+                                  method=f"cauchy(radius={sample_radius}, samples={samples})")
         if samples >= ceiling:
             break
         samples *= 2
-    if not math.isfinite(drift):
+    if not math.isfinite(leak):
         raise ParameterError(f"sample radius {sample_radius} gives a non-finite transfer matrix")
-    raise AliasingError(
-        f"transfer matrix entries moved by {drift:.3g} under sample doubling; "
-        "reduce the sampling radius"
-    )
+    raise AliasingError(f"branch sum not analytic on the disk of radius {sample_radius}, or not "
+                        f"resolved at {samples} samples (leak {leak:.3g}); reduce the radius")
 
 
 def projection_error_bound(
@@ -174,8 +151,8 @@ def derivative_sum_estimate(imap: IntervalMap, radius: float) -> float:
 
     The branches are read by ``_branches_on_circle``, which reads a steep
     branch just inside its branch points on a finer circle, and raises
-    BranchCutError for a circle that crosses a cut instead of giving a
-    number for a disk on which the map is not analytic.
+    BranchCutError for a disk on which a branch is not analytic instead of
+    giving a number.
     """
     total = sum(np.abs(dphi) for _, dphi in _branches_on_circle(imap, radius))
     return _DERIV_SUM_SAFETY * float(total.max())

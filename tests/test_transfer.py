@@ -1,6 +1,7 @@
 """Transfer-operator matrices: affine closed form, Cauchy sampling, bounds."""
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -10,13 +11,19 @@ import pytest
 from edmdmap import transfer
 from edmdmap.edmd import build_infinite, edmd_spectrum, node_schedule
 from edmdmap.errors import AliasingError, BranchCutError, NonAffineBranchError, ParameterError
-from edmdmap.maps import Branch, IntervalMap, exact_spectrum_values, make_blaschke, make_skewed_doubling
+from edmdmap.maps import (
+    Branch,
+    IntervalMap,
+    exact_spectrum_values,
+    make_blaschke,
+    make_skewed_doubling,
+    verify_branch_analyticity,
+)
 from edmdmap.observables import monomial_basis
 from edmdmap.spectral import GAMMA, eigenvalues, scale_similarity
 from edmdmap.transfer import (
     derivative_sum_estimate,
     projection_error_bound,
-    taylor_coefficients_on_circle,
     schedule_regime,
     transfer_matrix_affine,
     transfer_matrix_analytic,
@@ -134,14 +141,6 @@ class TestCauchy:
         l_vals = eigenvalues(transfer_matrix_affine(imap, n).l).values
         assert multiset_distance(edmd_vals, l_vals) < 1e-9
 
-    def test_known_polynomial_coefficients(self):
-        # identity test hook: feed (0.3 z + 0.5)^5 sampled on a circle
-        radius, samples, ell = 1.4, 64, 5
-        z = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-        coeffs = taylor_coefficients_on_circle((0.3 * z + 0.5) ** ell, ell + 1, radius)
-        expected = [math.comb(ell, k) * 0.3**k * 0.5 ** (ell - k) for k in range(ell + 1)]
-        assert np.abs(coeffs - expected).max() < 1e-12
-
     @pytest.mark.parametrize("size", [1, 10, 25])
     @pytest.mark.parametrize("radius", [1.19, 1.5])
     def test_radius_past_branch_points_matches(self, radius, size):
@@ -154,10 +153,28 @@ class TestCauchy:
         assert np.abs(far - near).max() < 1e-12
 
     def test_singular_branch_sum_raises_aliasing(self):
-        # at radius 2.2 the branch sum is not analytic on the circle, so the
-        # entries still move by 1.4e-10 at the 4096-sample ceiling
+        # at radius 2.2 the branch sum is not resolved: it still leaks 4.1e-9
+        # into negative modes at the 4096-sample ceiling
         with pytest.raises(AliasingError):
             transfer_matrix_analytic(make_blaschke(0.3), 25, sample_radius=2.2)
+        # a pole at 1.05 inside the circle is a negative mode at every S
+        # (leak 0.068, 0.022 and 0.0065 at the ceiling), not an aliased tail
+        for radius in (1.1, 1.2, 1.5):
+            with pytest.raises(AliasingError):
+                transfer_matrix_analytic(pole_map(0.01, 1.05), 10, sample_radius=radius)
+
+    def test_small_radius_leak_on_entry_scale(self):
+        # below radius 1 the entries carry radius^-k, up to 2^39 at 0.5 and
+        # N = 40, and the leak is measured on that scale: rounding alone
+        # leaks 9.5e-6 there; at 1e-300 the scale overflows, which is a
+        # non-finite matrix and no RuntimeWarning
+        blaschke = make_blaschke(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AliasingError):
+                transfer_matrix_analytic(blaschke, 40, sample_radius=0.5)
+            with pytest.raises(ParameterError):
+                transfer_matrix_analytic(blaschke, 10, sample_radius=1e-300)
 
     def test_each_branch_function_evaluated_once(self):
         # the first rung settles, and it reads each branch once on its 2S circle
@@ -200,6 +217,7 @@ class TestCauchy:
             ),
         )
         imap = IntervalMap(branches=(pole, right), deriv_sup=2.0)
+        assert transfer_matrix_analytic(imap, 10, sample_radius=1.1).method.endswith("samples=256)")
         monkeypatch.setattr(transfer, "DEFAULT_SAMPLES", 64)
         with pytest.raises(AliasingError):
             transfer_matrix_analytic(imap, 10, sample_radius=1.1)
@@ -289,9 +307,9 @@ class TestSampleLadder:
 
     @pytest.mark.parametrize("weight, pole", [(0.01, 1.15), (0.002, 1.12)])
     def test_pole_near_circle_climbs_past_coarse_cut_jumps(self, monkeypatch, weight, pole):
-        # a pole just outside |z| = 1.1 makes neighbours of the 128-point
-        # circle jump by 4.5-5.5; the drift ladder alone resolves it, climbing
-        # until the entries settle (S = 1024 and 2048, the ceiling is 4096)
+        # a pole just outside |z| = 1.1 leaks into the negative modes of a
+        # coarse circle by aliasing; the ladder climbs until the leak
+        # settles (S = 1024 and 2048, the ceiling is 4096)
         imap = pole_map(weight, pole)
         settled = transfer_matrix_analytic(imap, 10)
         assert np.abs(settled.l - ceiling_matrix(monkeypatch, imap, 10).l).max() < 1e-10
@@ -386,6 +404,13 @@ class TestBounds:
         for radius in (1.193, 1e300):  # 1e300: an overflow is a cut, not a RuntimeWarning
             with pytest.raises(BranchCutError):
                 derivative_sum_estimate(blaschke, radius)
+        # a pole at 1.05 leaves every value on the circle finite and smooth,
+        # but the disk it bounds is not one of analyticity
+        for radius in (1.1, 1.5):
+            with pytest.raises(BranchCutError):
+                derivative_sum_estimate(pole_map(0.01, 1.05), radius)
+            with pytest.raises(BranchCutError):
+                verify_branch_analyticity(pole_map(0.01, 1.05), radius)
 
 
 @pytest.mark.parametrize(
