@@ -461,7 +461,7 @@ def _fmt(x: float) -> str:
 
 
 def write_records(records: Iterable[SweepRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         for rec in records:
@@ -484,33 +484,37 @@ def write_records(records: Iterable[SweepRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[SweepRecord]:
-    """Inverse of write_records; reproduces the record list exactly."""
+    """Inverse of write_records, exactly; an unreadable or malformed file is a ConfigError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read CSV file {str(path)!r}: {exc}") from exc
     records = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            try:
-                if len(row) != len(CSV_HEADER):
-                    raise ValueError(f"{len(row)} fields, not {len(CSV_HEADER)}")
-                records.append(
-                    SweepRecord(
-                        n_observables=int(row[0]),
-                        m_nodes=None if row[1] == "inf" else int(row[1]),
-                        index=int(row[2]),
-                        approx=complex(float(row[3]), float(row[4])),
-                        exact=complex(float(row[5]), float(row[6])),
-                        delta=float(row[7]),
-                        delta_rank_paired=float(row[8]),
-                        eps_rank=int(row[9]),
-                        wall_ms=float(row[10]),
-                        status=row[11],
-                    )
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != CSV_HEADER:
+        raise ConfigError(f"{path}: unexpected CSV header {header!r}")
+    for row in reader:
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"{len(row)} fields, not {len(CSV_HEADER)}")
+            records.append(
+                SweepRecord(
+                    n_observables=int(row[0]),
+                    m_nodes=None if row[1] == "inf" else int(row[1]),
+                    index=int(row[2]),
+                    approx=complex(float(row[3]), float(row[4])),
+                    exact=complex(float(row[5]), float(row[6])),
+                    delta=float(row[7]),
+                    delta_rank_paired=float(row[8]),
+                    eps_rank=int(row[9]),
+                    wall_ms=float(row[10]),
+                    status=row[11],
                 )
-            except ValueError as exc:
-                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
     return records
 
 

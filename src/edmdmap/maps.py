@@ -10,6 +10,7 @@ Blaschke map.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -104,8 +105,8 @@ class IntervalMap:
             raise ParameterError("expanding map requires deriv_sup >= 1")
         if self.expansion_params is not None:
             r, big_r = self.expansion_params
-            if not 1.0 < r < big_r:
-                raise ParameterError("expansion parameters must satisfy 1 < r < R")
+            if not 1.0 < r < big_r < math.inf:
+                raise ParameterError("expansion parameters must satisfy 1 < r < R < inf")
         object.__setattr__(self, "critical_points", tuple(hi for _, hi in ends[:-1]))
         object.__setattr__(self, "odd", bool(np.array_equal(self(-_ODD_PROBES), -self(_ODD_PROBES))))
 
@@ -255,40 +256,47 @@ def _circle_dft(samples: np.ndarray) -> tuple[np.ndarray, float]:
     return coeffs, float(np.abs(coeffs[..., count // 2:]).max())
 
 
-def _branches_on_circle(imap: IntervalMap, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The values (phi, phi') of every inverse branch, one pair per branch,
-    on the closed circle z_j = radius * exp(2*pi*i*j/K); each passes the
-    leak test of ``_circle_dft`` unless the branch is affine (entire).
-
-    A steep analytic branch leaks through aliasing on a coarse circle, so K
-    starts at _CIRCLE_POINTS and doubles while a leak exceeds
-    _LEAK_TOLERANCE; at _CIRCLE_CEILING it raises BranchCutError.  Warnings
-    are off, so an overflow at a huge radius fails too.  A radius that is
-    not positive (NaN included) raises ParameterError.
-    """
-    if not radius > 0:
-        raise ParameterError("radius must be positive")
-    count = _CIRCLE_POINTS
+def _circle_ladder(imap: IntervalMap, radius: float, count: int, ceiling: int, measure, refuse):
+    """Read the inverse branches and their derivatives on the closed circle
+    z_j = radius * exp(2*pi*i*j/K), warnings off, for K = count, 2*count, ...
+    and return (K, result) at the first K where ``measure``, given the lazy
+    (phi, phi') pairs, returns (leak, result) with leak <= _LEAK_TOLERANCE.
+    At ``ceiling``, or at once for a non-finite leak, which the 2K circle
+    (holding the K points) repeats, ``refuse(K, leak, result)`` is raised."""
+    if not 0 < radius < math.inf:
+        raise ParameterError("radius must be positive and finite")
     while True:
-        circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
-        pairs = []
         with np.errstate(all="ignore"):
-            for index, branch in enumerate(imap.branches):
-                pairs.append((np.asarray(branch.inverse(circle)),
-                              np.asarray(branch.inverse_derivative(circle))))
-                leaks = [] if branch.affine is not None else [_circle_dft(v)[1] for v in pairs[-1]]
-                failed = [(name, leak)
-                          for name, leak in zip(("inverse", "inverse_derivative"), leaks)
-                          if not leak <= _LEAK_TOLERANCE]
-                if failed:
-                    break
-            else:
-                return pairs
-        if count >= _CIRCLE_CEILING:
-            name, leak = failed[0]
-            raise BranchCutError(f"branch {index} {name} is not analytic on the disk of radius "
-                                 f"{radius} (leak {leak:.3g} on {count} points); reduce the radius")
+            circle = radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+            leak, result = measure((np.asarray(b.inverse(circle)), np.asarray(b.inverse_derivative(circle)))
+                                   for b in imap.branches)
+        if leak <= _LEAK_TOLERANCE:
+            return count, result
+        if count >= ceiling or not math.isfinite(leak):
+            raise refuse(count, leak, result)
         count *= 2
+
+
+def _branches_on_circle(imap: IntervalMap, radius: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The pairs (phi, phi') on the first circle of ``_circle_ladder`` from
+    _CIRCLE_POINTS up to _CIRCLE_CEILING points (a steep analytic branch
+    aliases on a coarse one) where each non-affine branch passes the leak
+    test of ``_circle_dft``; BranchCutError names the first that fails."""
+    def measure(pairs):
+        read = []
+        for index, (branch, pair) in enumerate(zip(imap.branches, pairs)):
+            read.append(pair)
+            for name, values in zip(("inverse", "inverse_derivative"), () if branch.affine else pair):
+                leak = _circle_dft(values)[1]
+                if not leak <= _LEAK_TOLERANCE:
+                    return leak, f"branch {index} {name}"
+        return 0.0, read
+
+    def refuse(count, leak, where):
+        return BranchCutError(f"{where} is not analytic on the disk of radius {radius} "
+                              f"(leak {leak:.3g} on {count} points); reduce the radius")
+
+    return _circle_ladder(imap, radius, _CIRCLE_POINTS, _CIRCLE_CEILING, measure, refuse)[1]
 
 
 def verify_branch_analyticity(imap: IntervalMap, radius: float) -> None:

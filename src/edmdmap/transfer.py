@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AliasingError, NonAffineBranchError, ParameterError
-from .maps import _LEAK_TOLERANCE, IntervalMap, _branches_on_circle, _circle_dft
+from .maps import IntervalMap, _branches_on_circle, _circle_dft, _circle_ladder
 from .observables import _power_rows
 
 __all__ = [
@@ -86,46 +86,38 @@ def transfer_matrix_analytic(
 ) -> TransferMatrix:
     """Truncation via Cauchy-integral coefficients of z -> sum_l sign*phi'(z)*phi(z)^l.
 
-    The sample count S climbs a ladder.  It starts at the next power of two
-    >= 4*size, at least 64, and doubles until the sums g_l pass the leak
-    test of ``maps._circle_dft``; ``method`` names the count that settled.
-    The ceiling is DEFAULT_SAMPLES, raised to the next power of two
-    >= 4*size.  Each rung reads every branch once on the 2S points
-    radius*exp(2*pi*i*j/2S) and takes one DFT of g_l: L[k, l] is bin k
-    times radius^-k, and the leak is scaled by the largest such factor.
-    The ceiling rung raises ParameterError for a non-finite leak and
-    AliasingError otherwise.  The sum is symmetric in the branches, so it
-    stays analytic where they swap across a cut (Blaschke past +-1.193i).
+    The sums g_l climb the sample ladder of ``maps._circle_ladder`` on the
+    2S points radius*exp(2*pi*i*j/2S).  S starts at the next power of two
+    >= 4*size, at least 64, up to DEFAULT_SAMPLES or that power if larger;
+    ``method`` names the S that settled.  L[k, l] is bin k of the DFT of
+    g_l times radius^-k, and the leak is scaled by the largest such factor.
+    A refusal is ParameterError for a non-finite leak, else AliasingError.
+    The sum is symmetric in the branches, so it stays analytic where they
+    swap across a cut (Blaschke past +-1.193i).
     """
     if size < 1:
         raise ParameterError("size must be positive")
-    if not 0 < sample_radius < math.inf:
-        raise ParameterError("sample radius must be positive and finite")
+
+    def branch_sums(pairs):
+        # L[k, l] = [z^k] g_l(z) = radius^-k times bin k of the DFT of g_l
+        g = 0
+        for branch, (phi, dphi) in zip(imap.branches, pairs):
+            g = g + branch.sign * dphi * _power_rows(phi, np.empty((size, phi.size), dtype=complex))
+        coeffs, leak = _circle_dft(g)
+        scale = sample_radius ** -np.arange(size, dtype=float)
+        return leak * scale.max(), (coeffs[:, :size] * scale).T
+
+    def refuse(count, leak, _):
+        if not math.isfinite(leak):
+            return ParameterError(f"sample radius {sample_radius} gives a non-finite transfer matrix")
+        return AliasingError(f"branch sum not analytic on the disk of radius {sample_radius}, or not "
+                             f"resolved at {count // 2} samples (leak {leak:.3g}); reduce the radius")
+
     least = 1 << (4 * size - 1).bit_length()
     ceiling = max(DEFAULT_SAMPLES, least)
-    samples = min(ceiling, max(_START_SAMPLES, least))
-    while True:
-        circle = sample_radius * np.exp(1j * (2.0 * np.pi * np.arange(2 * samples) / (2 * samples)))
-        with np.errstate(all="ignore"):  # a radius far from 1 overflows; checked below
-            powers = np.empty((size, 2 * samples), dtype=complex)
-            g = np.zeros_like(powers)
-            for branch in imap.branches:
-                dphi = np.asarray(branch.inverse_derivative(circle))
-                g += branch.sign * dphi * _power_rows(branch.inverse(circle), powers)
-            # L[k, l] = [z^k] g_l(z) = radius^-k times bin k of the DFT of g_l
-            coeffs, leak = _circle_dft(g)
-            scale = sample_radius ** -np.arange(size, dtype=float)
-            leak *= scale.max()
-        if leak <= _LEAK_TOLERANCE:
-            return TransferMatrix(l=(coeffs[:, :size] * scale).T,
-                                  method=f"cauchy(radius={sample_radius}, samples={samples})")
-        if samples >= ceiling:
-            break
-        samples *= 2
-    if not math.isfinite(leak):
-        raise ParameterError(f"sample radius {sample_radius} gives a non-finite transfer matrix")
-    raise AliasingError(f"branch sum not analytic on the disk of radius {sample_radius}, or not "
-                        f"resolved at {samples} samples (leak {leak:.3g}); reduce the radius")
+    start = min(ceiling, max(_START_SAMPLES, least))
+    count, l_mat = _circle_ladder(imap, sample_radius, 2 * start, 2 * ceiling, branch_sums, refuse)
+    return TransferMatrix(l=l_mat, method=f"cauchy(radius={sample_radius}, samples={count // 2})")
 
 
 def projection_error_bound(
@@ -147,12 +139,8 @@ def projection_error_bound(
 
 def derivative_sum_estimate(imap: IntervalMap, radius: float) -> float:
     """Grid estimate (not a certified supremum) of sup over |z| = radius of
-    sum_l |phi_l'(z)|, inflated by _DERIV_SUM_SAFETY.
-
-    The branches are read by ``_branches_on_circle``, which reads a steep
-    branch just inside its branch points on a finer circle, and raises
-    BranchCutError for a disk on which a branch is not analytic instead of
-    giving a number.
+    sum_l |phi_l'(z)|, inflated by _DERIV_SUM_SAFETY; a disk on which a
+    branch is not analytic raises BranchCutError (``_branches_on_circle``).
     """
     total = sum(np.abs(dphi) for _, dphi in _branches_on_circle(imap, radius))
     return _DERIV_SUM_SAFETY * float(total.max())

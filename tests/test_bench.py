@@ -158,6 +158,15 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="line 3"):
             read_records(path)
 
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe not text\n", None],
+                             ids=["empty", "not-utf8", "missing"])
+    def test_unreadable_csv_names_path(self, tmp_path, content):
+        path = tmp_path / "records.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match="records.csv"):
+            read_records(path)
+
     def test_inf_literal_in_csv(self, tmp_path):
         config = SweepConfig(
             imap=make_skewed_doubling(SKEW),

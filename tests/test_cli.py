@@ -218,6 +218,9 @@ def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
                      id="blaschke-disk-past-cut"),
         pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.15\n", 0,
                      id="blaschke-disk-inside-cut"),
+        # no circle is read: the expansion parameters need a finite R
+        pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = inf\n", 1,
+                     id="blaschke-disk-infinite"),
         # steep but analytic just inside the branch points
         pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.19\n", 0,
                      id="blaschke-disk-below-branch-points"),

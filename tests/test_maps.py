@@ -113,6 +113,9 @@ class TestBlaschke:
         with pytest.raises(BranchCutError):
             # cos(pi z/2) overflows: a cut, not a RuntimeWarning made an error by the suite
             verify_branch_analyticity(B, 1e300)
+        with pytest.raises(ParameterError):
+            # refused before inf * exp(0j) builds a NaN circle, affine branches too
+            verify_branch_analyticity(make_skewed_doubling(0.4), np.inf)
 
 
 class TestExactSpectrum:
@@ -207,8 +210,9 @@ class TestMapInvariants:
 
     def test_expansion_params_validation(self):
         T = make_skewed_doubling(0.2)
-        with pytest.raises(ParameterError):
-            IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup, expansion_params=(3.0, 2.0))
+        for params in [(3.0, 2.0), (1.1, np.inf)]:  # r above R; R not finite
+            with pytest.raises(ParameterError):
+                IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup, expansion_params=params)
 
 
 class TestOdd:

@@ -202,6 +202,37 @@ class TestCauchy:
                          for name in ("inverse", "inverse_derivative")}
         assert np.array_equal(tm.l, transfer_matrix_analytic(imap, 10).l)
 
+    def test_non_finite_circle_refused_on_first_rung(self):
+        # a non-finite value comes back on every finer circle, which holds the
+        # coarser points, so the first rung refuses: each branch function is
+        # read at most once, with the same error classes as at the ceiling
+        calls = Counter()
+
+        def counted(imap):
+            def wrap(key, fn):
+                def wrapper(z):
+                    calls[key] += 1
+                    return fn(z)
+                return wrapper
+            return replace(imap, branches=tuple(
+                replace(branch,
+                        inverse=wrap((index, "inverse"), branch.inverse),
+                        inverse_derivative=wrap((index, "inverse_derivative"),
+                                                branch.inverse_derivative))
+                for index, branch in enumerate(imap.branches)))
+
+        for call, error in (
+            (lambda imap: transfer_matrix_analytic(imap, 10, sample_radius=1e-300), ParameterError),
+            (lambda imap: derivative_sum_estimate(imap, 1e300), BranchCutError),
+        ):
+            imap = counted(make_blaschke(0.3))
+            calls.clear()  # Branch.__post_init__ reads the derivative at 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(error):
+                    call(imap)
+            assert calls and max(calls.values()) == 1, calls
+
     def test_aliasing_detected_until_samples_resolve_pole(self, monkeypatch):
         # a pole at z = 1.3 added to the left doubling branch: the Taylor
         # coefficients on |z| = 1.1 decay only like (1.1/1.3)^k, so 64 samples
@@ -398,12 +429,18 @@ class TestBounds:
         with pytest.raises(BranchCutError):
             derivative_sum_estimate(blaschke, 1.4)
         # analytic but steep up to the branch points: the circle doubles
-        # from 720 points (92160 at 1.192) instead of refusing the disk
-        for radius in (1.175, 1.18, 1.19, 1.192):
-            assert math.isfinite(derivative_sum_estimate(blaschke, radius)), radius
+        # from 720 points (46080 at 1.192) instead of refusing the disk; a
+        # double pole just outside the circle leaks 3.68, 2.0, 0.88, 0.13,
+        # 1.4e-3, 7.7e-8 and 1.2e-13 on the way to 46080 points, so a leak
+        # that falls slowly at first is no reason to stop the climb
+        steep = [(blaschke, radius) for radius in (1.175, 1.18, 1.19, 1.192)]
+        for imap, radius in steep + [(pole_map(0.01, 1.102), 1.1)]:
+            assert math.isfinite(derivative_sum_estimate(imap, radius)), radius
         for radius in (1.193, 1e300):  # 1e300: an overflow is a cut, not a RuntimeWarning
             with pytest.raises(BranchCutError):
                 derivative_sum_estimate(blaschke, radius)
+        with pytest.raises(ParameterError):  # no circle of infinite radius is built
+            derivative_sum_estimate(blaschke, math.inf)
         # a pole at 1.05 leaves every value on the circle finite and smooth,
         # but the disk it bounds is not one of analyticity
         for radius in (1.1, 1.5):
