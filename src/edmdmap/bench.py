@@ -373,7 +373,7 @@ CONFIG_KEYS = {
 }
 
 
-def parse_config(text: str, command: str | None = None) -> dict[str, object]:
+def parse_config(text: str, command: str) -> dict[str, object]:
     """Parse flat ``key = value`` lines ('#' starts a comment) into typed
     values.  A key outside CONFIG_KEYS, a value its reader rejects or, once
     all lines have parsed, a key ``command`` does not read is a ConfigError."""
@@ -396,7 +396,7 @@ def parse_config(text: str, command: str | None = None) -> dict[str, object]:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key {key!r}: cannot read {value!r}: {exc}") from exc
     for key in out:
-        if command not in (None, *CONFIG_KEYS[key][1]):
+        if command not in CONFIG_KEYS[key][1]:
             raise ConfigError(f"key {key!r} is not read by {command}")
     return out
 
@@ -519,7 +519,7 @@ def read_records(path: str | Path) -> list[SweepRecord]:
 
 
 def write_radius_records(records: Iterable[RadiusRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["a", "N", "abs_lambda1", "essential_radius", "product_lnl1_lnN"])
         for rec in records:

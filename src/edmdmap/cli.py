@@ -3,8 +3,8 @@
 Subcommands: ``spectrum`` (one experiment, table to stdout), ``sweep``
 (grid to CSV), ``figure`` (bundled reference data sets), ``bounds``
 (bound values next to measured quantities).  Exit codes: 0 success,
-1 configuration error, 2 numerical failure, 3 sweep finished with failed
-cells.
+1 configuration or usage error, 2 numerical failure, 3 sweep finished
+with failed cells.
 """
 
 from __future__ import annotations
@@ -104,10 +104,10 @@ def _cmd_figure(args) -> int:
 
 
 def _projection_report(imap, n_values) -> list[str]:
-    """The lines of the projection-bound section, computed in full before
-    any is printed; (r, R_disk) giving a non-finite rho, derivative-sum
-    estimate or bound, or a disk |z| <= R_disk on which an inverse branch
-    is not analytic, is a configuration error."""
+    """The lines of the projection-bound section; (r, R_disk) giving a
+    non-finite rho, derivative-sum estimate or bound, or a disk
+    |z| <= R_disk on which an inverse branch is not analytic, is a
+    configuration error."""
     r, big_r = imap.expansion_params
     rho = math.sqrt(r * big_r)
     try:
@@ -144,17 +144,14 @@ def _cmd_bounds(args) -> int:
         raise ConfigError(f"key 'basis': bounds reports on {MONOMIALS} only")
     d = imap.n_branches
     g_factor = max(imap.deriv_sup, 2.0 * (d - 1))
-    projection = None if imap.expansion_params is None else _projection_report(imap, n_values)
-
-    print(f"map: {imap.spectrum_kind or 'custom'}, branches d = {d}, "
-          f"||T'|| = {imap.deriv_sup:.6g}")
-
-    if projection is not None:
-        print("\n".join(projection))
+    lines = [f"map: {imap.spectrum_kind or 'custom'}, branches d = {d}, "
+             f"||T'|| = {imap.deriv_sup:.6g}"]
+    if imap.expansion_params is None:
+        lines.append("no (r, R) expansion parameters in config; projection bound skipped")
     else:
-        print("no (r, R) expansion parameters in config; projection bound skipped")
+        lines += _projection_report(imap, n_values)
 
-    print("collocation bounds (monomials) vs measured spectral norms:")
+    lines.append("collocation bounds (monomials) vs measured spectral norms:")
     pairs = SweepPairs(config)
     for n, m in config.cells():
         if m is None:
@@ -163,18 +160,20 @@ def _cmd_bounds(args) -> int:
         pair = pairs.pair(n, m)
         dh = spectral_norm(h_exact - pair.h)
         bound_h = 1.5 * n * n / m
-        print(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"
-              f"  schur(H^(M)) = {schur_bound(pair.h):.4f} >= "
-              f"||H^(M)||_2 = {spectral_norm(pair.h):.4f}"
-              f"  G-bound = {1.5 * g_factor * n * n / m:.3e}")
+        lines.append(f"  N={n:3d} M={m:7d}  ||H-H^(M)||_2 = {dh:.3e} <= {bound_h:.3e}"
+                     f"  schur(H^(M)) = {schur_bound(pair.h):.4f} >= "
+                     f"||H^(M)||_2 = {spectral_norm(pair.h):.4f}"
+                     f"  G-bound = {1.5 * g_factor * n * n / m:.3e}")
 
-    print("pseudoinverse growth diagnostic (never asserted):")
+    lines.append("pseudoinverse growth diagnostic (never asserted):")
     ref = 2.0 * math.log(1.0 + math.sqrt(2.0))
     for n in n_values:
         h = gram_infinite(monomial_basis(n))
         log_norm = math.log(spectral_norm(pseudoinverse(h, 0.0)))
-        print(f"  N={n:3d}  log||pinv(H_N)|| = {log_norm:8.3f}"
-              f"  (reference slope 2 log(1+sqrt 2) = {ref:.4f}, slope*N = {ref * n:.3f})")
+        lines.append(f"  N={n:3d}  log||pinv(H_N)|| = {log_norm:8.3f}"
+                     f"  (reference slope 2 log(1+sqrt 2) = {ref:.4f}, slope*N = {ref * n:.3f})")
+    # every line is computed before any is printed: a failure leaves stdout empty
+    print("\n".join(lines))
     return 0
 
 
@@ -199,7 +198,12 @@ def main(argv=None) -> int:
     p_bounds = sub.add_parser("bounds", help="print bound values next to measurements")
     p_bounds.add_argument("--config", required=True)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the numerical-failure code
+        if exc.code == 0:  # --help
+            raise
+        return 1
     handlers = {
         "spectrum": _cmd_spectrum,
         "sweep": _cmd_sweep,

@@ -53,9 +53,6 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i):
-        return self.values[i]
-
 
 def sort_eigenvalues(values: np.ndarray) -> np.ndarray:
     """Sort complex values by descending modulus, then real, then imaginary part."""

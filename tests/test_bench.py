@@ -504,16 +504,17 @@ class TestConfigParsing:
         map = skewed_doubling
         a = 0.5   # trailing comment
         N = 3,4,5
-        """)
+        """, "sweep")
         assert raw == {"map": "skewed_doubling", "a": 0.5, "N": (3, 4, 5)}
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config("a = 1\na = 2")
+            parse_config("a = 1\na = 2", "sweep")
 
     def test_bad_line_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config("just words")
+        for text in ("just words", "N ="):  # no '='; an empty value
+            with pytest.raises(ConfigError):
+                parse_config(text, "sweep")
 
     def test_full_sweep_config(self):
         config = sweep_config_from_text(

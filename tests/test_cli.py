@@ -137,7 +137,8 @@ def test_bad_config_rejected_at_parse_time(tmp_path, capsys, text, key):
 def test_readme_config_block_matches_key_table(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("### Configuration format", 1)[1].split("```")[1]
-    assert set(parse_config(block)) <= set(CONFIG_KEYS)
+    for command in ("spectrum", "sweep", "bounds"):  # the uncommented keys are shared
+        assert set(parse_config(block, command)) <= set(CONFIG_KEYS)
     for key in CONFIG_KEYS:  # keys without a sample value appear in its comments
         assert re.search(rf"\b{key} = ", block), key
     path = tmp_path / "readme.cfg"
@@ -221,6 +222,9 @@ def test_bounds_unread_key_exit_one(tmp_path, capsys, text, key):
         # no circle is read: the expansion parameters need a finite R
         pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = inf\n", 1,
                      id="blaschke-disk-infinite"),
+        # r names no disk without R_disk
+        pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\n", 1,
+                     id="blaschke-r-without-R_disk"),
         # steep but analytic just inside the branch points
         pytest.param("map = blaschke\nmu = 0.3\nN = 5\nr = 1.05\nR_disk = 1.19\n", 0,
                      id="blaschke-disk-below-branch-points"),
@@ -284,6 +288,10 @@ def test_unallocatable_node_count_fails_its_cells(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"M = {huge_m}" in captured.out
     assert "Traceback" not in captured.out + captured.err
+    # bounds computes its whole report before printing any of it
+    assert main(["bounds", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(huge_m) in captured.err
 
 
 def test_fourier_blaschke_infinite_cells_settle(tmp_path):
@@ -425,6 +433,17 @@ def test_removed_key_exit_one(tmp_path, capsys, command, line):
     key = line.split(" = ")[0]
     assert captured.out == ""
     assert captured.err.startswith("configuration error:") and f"unknown key {key!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["figure", "--name", "fig9"], ["sweep", "--config", "x.cfg"], []],
+    ids=["unknown-figure", "sweep-without-out", "no-command"],
+)
+def test_usage_error_exit_one(capsys, argv):
+    # a usage error is a configuration error (1), not a numerical failure (2)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage:" in captured.err
 
 
 def test_readme_cli_lines_match_help(capsys):

@@ -207,12 +207,16 @@ class TestMapInvariants:
         ):
             with pytest.raises(ParameterError):
                 IntervalMap(branches=branches, deriv_sup=2.0)
+        with pytest.raises(ParameterError):  # a branch domain outside [-1, 1]
+            replace(left, domain_lo=-1.5)
 
     def test_expansion_params_validation(self):
         T = make_skewed_doubling(0.2)
         for params in [(3.0, 2.0), (1.1, np.inf)]:  # r above R; R not finite
             with pytest.raises(ParameterError):
                 IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup, expansion_params=params)
+        with pytest.raises(ParameterError):  # a map that does not expand
+            IntervalMap(branches=T.branches, deriv_sup=0.5)
 
 
 class TestOdd:

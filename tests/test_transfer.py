@@ -20,7 +20,7 @@ from edmdmap.maps import (
     verify_branch_analyticity,
 )
 from edmdmap.observables import monomial_basis
-from edmdmap.spectral import GAMMA, eigenvalues, scale_similarity
+from edmdmap.spectral import GAMMA, eigenvalues, pseudoinverse, scale_similarity
 from edmdmap.transfer import (
     derivative_sum_estimate,
     projection_error_bound,
@@ -459,9 +459,17 @@ class TestBounds:
         pytest.param(lambda: node_schedule(3, math.nan), id="node-schedule-rate"),
         pytest.param(lambda: projection_error_bound(1.1, 1.5, 1.2, 4, math.nan),
                      id="projection-bound-derivative-sum"),
+        pytest.param(lambda: pseudoinverse(np.array([[1.0, math.nan], [0.0, 1.0]]), 1e-12),
+                     id="pseudoinverse-entry"),
+        pytest.param(lambda: exact_spectrum_values(make_blaschke(0.3), 0),
+                     id="exact-spectrum-size-0"),
+        pytest.param(lambda: transfer_matrix_affine(make_skewed_doubling(SKEW), 0),
+                     id="affine-size-0"),
+        pytest.param(lambda: transfer_matrix_analytic(make_blaschke(0.3), 0), id="cauchy-size-0"),
     ],
 )
 def test_nan_parameter_rejected(call):
-    """A NaN parameter fails its range guard instead of flowing into the result."""
+    """A NaN parameter, a non-finite matrix entry or a size of 0 fails its
+    range guard instead of flowing into the result."""
     with pytest.raises(ParameterError):
         call()
