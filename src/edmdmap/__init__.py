@@ -39,7 +39,6 @@ from .spectral import (
     pseudoinverse,
     qr_eigenvalues,
     schur_bound,
-    scale_similarity,
     solve_gauss,
     sort_eigenvalues,
     spectral_norm,

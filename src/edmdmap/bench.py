@@ -20,7 +20,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .edmd import (
-    DEFAULT_EPS_PINV,
     EdmdPair,
     build_finite,
     build_infinite,
@@ -138,23 +137,22 @@ class SweepConfig:
     m_values: tuple[int | None, ...] = ()
     schedule: tuple[str, float] | None = None
     delta: float | None = None  # None selects the midpoint rule
-    eps_pinv: float = DEFAULT_EPS_PINV
     eigen_indices: tuple[int, ...] | None = (0,)  # None means all per cell
 
     def __post_init__(self) -> None:
-        if not self.n_values or min(self.n_values) < 1:
-            raise ConfigError(f"key 'N': need sizes >= 1, got {self.n_values}")
+        if not self.n_values:
+            raise ConfigError("key 'N': need at least one size")
+        # ObservableBasis checks the kind and each size; size 1 suits every kind
+        for key, n in (("basis", 1), *(("N", n) for n in self.n_values)):
+            try:
+                ObservableBasis(self.basis_kind, n)
+            except ParameterError as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from exc
         if bool(self.m_values) == (self.schedule is not None):
             raise ConfigError("need exactly one of the keys 'M' and 'schedule'")
-        if self.basis_kind not in (MONOMIALS, FOURIER):
-            raise ConfigError(f"key 'basis': unknown basis {self.basis_kind!r}")
-        if self.basis_kind == FOURIER and any(n % 2 == 0 for n in self.n_values):
-            raise ConfigError("key 'N': basis = fourier needs odd sizes N = 2K+1")
         indices, n_min = self.eigen_indices, min(self.n_values)
         if indices is not None and not (indices and 0 <= min(indices) <= max(indices) < n_min):
             raise ConfigError(f"key 'eigen_indices': need indices in [0, min(N)), got {indices}")
-        if not 0.0 <= self.eps_pinv < 1.0:
-            raise ConfigError(f"key 'eps_pinv': {self.eps_pinv} outside [0, 1)")
         try:
             cells = self.cells()
         except (EdmdMapError, ArithmeticError, ValueError) as exc:
@@ -176,7 +174,7 @@ class SweepConfig:
                 if not value > 0:
                     raise ParameterError(f"quadratic(c) needs c > 0, got {value}")
                 return [(n, max(n, math.ceil(value * n * n))) for n in self.n_values]
-            raise ConfigError(f"unknown schedule rule {rule!r}")
+            raise ConfigError(f"unknown rule {rule!r}; expected corollary1(R) or quadratic(c)")
         return [(n, m) for n in self.n_values for m in self.m_values]
 
 
@@ -226,7 +224,7 @@ def _run_cell(
         pair = pairs.pair(n, m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankTruncationWarning)
-            spec = edmd_spectrum(pair, config.eps_pinv)
+            spec = edmd_spectrum(pair)
         k_max = max(indices) + 1
         exact = exact_spectrum_values(config.imap, k_max)
         match = match_spectra(spec, exact, k_max)
@@ -332,22 +330,14 @@ def fourier_radius_study(
 # Plain-text configuration
 
 
-def _one_of(*names: str):
-    def read(text: str) -> str:
-        if text not in names:
-            raise ValueError(f"expected one of {', '.join(names)}")
-        return text
-    return read
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
 def _schedule(text: str) -> tuple[str, float]:
-    found = re.fullmatch(r"(corollary1|quadratic)\(([^)]+)\)", text.replace(" ", ""))
+    found = re.fullmatch(r"(\w+)\(([^)]+)\)", text.replace(" ", ""))
     if not found:
-        raise ValueError("expected corollary1(R) or quadratic(c)")
+        raise ValueError("expected rule(value)")
     return found.group(1), float(found.group(2))
 
 
@@ -355,18 +345,17 @@ def _schedule(text: str) -> tuple[str, float]:
 _MAPS = {"skewed_doubling": ("a", make_skewed_doubling), "blaschke": ("mu", make_blaschke)}
 
 # Every accepted key: the reader of its text value and the commands that read it.
-# Ranges are checked by SweepConfig and the map constructors, as for figure recipes.
+# Names and ranges are checked by SweepConfig and map_from_config, as for figure recipes.
 _ALL = ("sweep", "spectrum", "bounds")
 CONFIG_KEYS = {
-    "map": (_one_of(*_MAPS), _ALL),
+    "map": (str, _ALL),
     "a": (float, _ALL),
     "mu": (float, _ALL),
-    "basis": (_one_of(MONOMIALS, FOURIER), _ALL),
+    "basis": (str, _ALL),
     "N": (_int_list, _ALL),
     "M": (lambda t: tuple(None if p.strip() == "inf" else int(p) for p in t.split(",")), _ALL),
     "schedule": (_schedule, _ALL),
     "delta": (float, _ALL),
-    "eps_pinv": (float, ("sweep", "spectrum")),
     "eigen_indices": (lambda text: None if text == "all" else _int_list(text), ("sweep",)),
     "r": (float, ("bounds",)),
     "R_disk": (float, ("bounds",)),
@@ -430,7 +419,6 @@ def sweep_config(cfg: dict[str, object]) -> SweepConfig:
         m_values=cfg.get("M", ()),
         schedule=cfg.get("schedule"),
         delta=cfg.get("delta"),
-        eps_pinv=cfg.get("eps_pinv", DEFAULT_EPS_PINV),
         eigen_indices=cfg.get("eigen_indices", (0,)),
     )
 

@@ -40,11 +40,12 @@ __all__ = [
     "edmd_spectrum",
     "node_schedule",
     "DEFAULT_QUAD_ORDER",
-    "DEFAULT_EPS_PINV",
 ]
 
 DEFAULT_QUAD_ORDER = 64
-DEFAULT_EPS_PINV = 1e-12
+
+# edmd_spectrum drops the singular values of H at or below this times the largest
+_EPS_PINV = 1e-12
 
 # highest Gauss-Legendre order build_infinite evaluates before it gives up
 _MAX_QUAD_ORDER = 1024
@@ -266,10 +267,11 @@ def build_infinite(imap: IntervalMap, basis: ObservableBasis) -> EdmdPair:
                     h_ext=h if extended else None, g_ext=g if extended else None)
 
 
-def edmd_spectrum(pair: EdmdPair, eps: float = DEFAULT_EPS_PINV) -> Spectrum:
-    """Eigenvalues of pinv(H) @ G with the relative eps-pseudoinverse.
+def edmd_spectrum(pair: EdmdPair) -> Spectrum:
+    """Eigenvalues of pinv(H) @ G with the relative eps-pseudoinverse
+    (cutoff 1e-12 times the largest singular value).
 
-    When no singular value falls below the eps cutoff the pseudoinverse is
+    When no singular value falls below the cutoff the pseudoinverse is
     the plain inverse, and a pair carrying its 80-bit assembly (every
     quadrature rung ran in 80-bit; h/g are its rounding) is solved in
     extended precision (the float64 entry rounding alone already perturbs
@@ -279,7 +281,7 @@ def edmd_spectrum(pair: EdmdPair, eps: float = DEFAULT_EPS_PINV) -> Spectrum:
     singular values, a RankTruncationWarning is issued, the count is
     reported in the metadata, and the double-precision route is used.
     """
-    h_pinv, truncated = pseudoinverse(pair.h, eps, return_rank=True)
+    h_pinv, truncated = pseudoinverse(pair.h, _EPS_PINV, return_rank=True)
     if truncated:
         warnings.warn(
             f"eps-pseudoinverse removed {truncated} singular value(s) of H",

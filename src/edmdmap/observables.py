@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import MapDomainError, ParameterError
 
 __all__ = [
@@ -36,9 +37,13 @@ class ObservableBasis:
 
     def __post_init__(self) -> None:
         if self.kind not in (MONOMIALS, FOURIER):
-            raise ParameterError(f"unknown basis kind {self.kind!r}")
+            raise ParameterError(f"unknown basis kind {self.kind!r}; "
+                                 f"expected {MONOMIALS} or {FOURIER}")
         if self.size < 1:
             raise ParameterError("basis size must be positive")
+        if self.size > spectral._MAX_DIM:  # no N x N pair of this size could be solved
+            raise ParameterError(f"basis size {self.size} exceeds the eigensolver's "
+                                 f"desk-scale cap {spectral._MAX_DIM}")
         if self.kind == FOURIER and self.size % 2 == 0:
             raise ParameterError("fourier basis size must be odd (N = 2K+1)")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, RangeOverflowError
+from .errors import ConvergenceError, ParameterError
 
 __all__ = [
     "GAMMA",
@@ -27,7 +27,6 @@ __all__ = [
     "pseudoinverse",
     "spectral_norm",
     "schur_bound",
-    "scale_similarity",
 ]
 
 # Growth-rate constant (1+sqrt(2))^2 appearing in pseudoinverse-norm and
@@ -196,20 +195,3 @@ def schur_bound(a: np.ndarray) -> float:
     r = float(mag.max(axis=1).sum())
     c = float(mag.max(axis=0).sum())
     return float(np.sqrt(c * r))
-
-
-def scale_similarity(a: np.ndarray, rho: float) -> np.ndarray:
-    """Conjugate by the diagonal scaling diag(rho^n): rho^(k-l) * A[k, l]."""
-    a = _as_square(a)
-    if not rho > 0:
-        raise ParameterError("rho must be positive")
-    n = a.shape[0]
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        top = np.float64(rho) ** (n - 1)
-        if not (np.isfinite(top) and top != 0.0 and np.isfinite(1.0 / top)):
-            raise RangeOverflowError(f"rho^(N-1) = {rho}^{n - 1} leaves floating range")
-    k = np.arange(n, dtype=float)
-    out = a * float(rho) ** (k[:, np.newaxis] - k[np.newaxis, :])
-    if not np.all(np.isfinite(out)):
-        raise RangeOverflowError("diagonal similarity overflowed")
-    return out

@@ -9,9 +9,8 @@ Taylor coefficients recovered from samples on a circle.
 This is the Galerkin truncation L_N in the Hardy space of every disk
 |z| < rho: the projection onto polynomials of degree < N is the Taylor
 truncation for each rho, and the orthonormal basis (z/rho)^n only
-conjugates L_N by diag(rho^n) (``spectral.scale_similarity``).  So the
-spectrum of L_N does not depend on rho, which enters only
-``projection_error_bound``.
+conjugates L_N by diag(rho^n).  So the spectrum of L_N does not depend on
+rho, which enters only ``projection_error_bound``.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ from edmdmap.observables import MONOMIALS, fourier_cross_closed, gram_infinite, 
 from edmdmap.spectral import (
     eigenvalues,
     pseudoinverse,
-    scale_similarity,
     schur_bound,
     spectral_norm,
 )
 from edmdmap.transfer import transfer_matrix_affine, transfer_matrix_analytic
+from similarity import scale_similarity
 
 SKEW = 1.0 / np.sqrt(2.0)
 

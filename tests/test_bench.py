@@ -302,6 +302,23 @@ class TestRunSweep:
                 n_values=(4,),
             )
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            pytest.param({"basis_kind": "legendre"}, "basis", id="basis-legendre"),
+            pytest.param({"basis_kind": FOURIER, "n_values": (5, 6)}, "N", id="fourier-even-N"),
+            pytest.param({"n_values": (0, 3)}, "N", id="N-zero"),
+            pytest.param({"m_values": (), "schedule": ("cubic", 2.0)}, "schedule",
+                         id="schedule-cubic"),
+        ],
+    )
+    def test_config_error_names_key(self, fields, key):
+        # a config built in code meets the same checks as one read from text
+        base = {"imap": make_skewed_doubling(0.2), "basis_kind": MONOMIALS, "n_values": (3,),
+                "m_values": (10,)}
+        with pytest.raises(ConfigError, match=f"key {key!r}"):
+            SweepConfig(**(base | fields))
+
 
 class TestSharedFinitePairs:
     """run_sweep builds one pair per M, inf included (SweepPairs), at the
@@ -519,11 +536,10 @@ class TestConfigParsing:
     def test_full_sweep_config(self):
         config = sweep_config_from_text(
             "map = blaschke\nmu = 0.3\nbasis = monomials\nN = 5,6\n"
-            "M = 100,inf\neigen_indices = 0,1\neps_pinv = 1e-10\n"
+            "M = 100,inf\neigen_indices = 0,1\n"
         )
         assert config.imap.spectrum_kind == "blaschke"
         assert config.m_values == (100, None)
-        assert config.eps_pinv == pytest.approx(1e-10)
 
     def test_schedule_syntax(self):
         config = sweep_config_from_text(

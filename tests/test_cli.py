@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edmdmap import cli, edmd
+from edmdmap import cli, edmd, spectral
 from edmdmap.bench import CONFIG_KEYS, parse_config, read_records
 from edmdmap.cli import main
 
@@ -410,19 +410,19 @@ def test_accepted_command_key_pairs():
     shared = ("map", "a", "mu", "basis", "N", "M", "schedule", "delta")
     expected = {(command, key) for command in ("sweep", "spectrum", "bounds") for key in shared}
     expected |= {
-        ("sweep", "eps_pinv"), ("spectrum", "eps_pinv"), ("sweep", "eigen_indices"),
-        ("bounds", "r"), ("bounds", "R_disk"),
+        ("sweep", "eigen_indices"), ("bounds", "r"), ("bounds", "R_disk"),
     }
     accepted = {(command, key) for key, (_, commands) in CONFIG_KEYS.items() for command in commands}
-    assert accepted == expected and len(accepted) == 29
-    assert len(CONFIG_KEYS) == 12
+    assert accepted == expected and len(accepted) == 27
+    assert len(CONFIG_KEYS) == 11
 
 
 @pytest.mark.parametrize("command", ["sweep", "spectrum", "bounds"])
 @pytest.mark.parametrize("line", ["node_rule = offset", "L_method = auto", "rho = 1.2",
-                                  "sample_radius = 1.1"])
+                                  "sample_radius = 1.1", "eps_pinv = 1e-12"])
 def test_removed_key_exit_one(tmp_path, capsys, command, line):
-    # the node rule follows from 'delta', the L_N route from the map, rho from (r, R_disk)
+    # the node rule follows from 'delta', the L_N route from the map, rho from (r, R_disk);
+    # the pseudoinverse cutoff is fixed
     path = tmp_path / "removed.cfg"
     path.write_text(f"{GRID}{line}\n")
     out_csv = tmp_path / "x.csv"
@@ -433,6 +433,23 @@ def test_removed_key_exit_one(tmp_path, capsys, command, line):
     key = line.split(" = ")[0]
     assert captured.out == ""
     assert captured.err.startswith("configuration error:") and f"unknown key {key!r}" in captured.err
+
+
+@pytest.mark.parametrize("command, m", [("sweep", "100,inf"), ("spectrum", "inf"),
+                                        ("bounds", "100")])
+def test_n_past_eigensolver_cap_exit_one(tmp_path, capsys, monkeypatch, command, m):
+    # refused when the config is read, not cell by cell after the pairs are built; the
+    # cap is patched small, since building a pair past the real cap takes gigabytes
+    monkeypatch.setattr(spectral, "_MAX_DIM", 5)
+    path = tmp_path / "big.cfg"
+    path.write_text(f"map = blaschke\nmu = 0.3\nN = 6\nM = {m}\n")
+    out_csv = tmp_path / "x.csv"
+    argv = [command, "--config", str(path)] + (["--out", str(out_csv)] if command == "sweep" else [])
+    assert main(argv) == 1
+    assert not out_csv.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:") and "'N'" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from edmdmap import spectral
 from edmdmap.edmd import build_finite, cross_gram_quadrature, edmd_spectrum, nodes_equidistant
 from edmdmap.errors import MapDomainError, ParameterError
 from edmdmap.maps import make_skewed_doubling
@@ -120,6 +121,12 @@ class TestEvalBasis:
             ObservableBasis("chebyshev", 5)
         with pytest.raises(ParameterError):
             monomial_basis(0)
+
+    def test_size_capped_by_eigensolver(self):
+        # no pair larger than the eigensolver's cap could be solved
+        assert monomial_basis(spectral._MAX_DIM).size == spectral._MAX_DIM
+        with pytest.raises(ParameterError, match="desk-scale cap"):
+            monomial_basis(spectral._MAX_DIM + 1)
 
 
 class TestGramInfinite:

@@ -11,11 +11,11 @@ from edmdmap.spectral import (
     pseudoinverse,
     qr_eigenvalues,
     schur_bound,
-    scale_similarity,
     solve_gauss,
     sort_eigenvalues,
     spectral_norm,
 )
+from similarity import scale_similarity
 
 
 def multiset_distance(a, b) -> float:

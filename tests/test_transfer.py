@@ -20,7 +20,7 @@ from edmdmap.maps import (
     verify_branch_analyticity,
 )
 from edmdmap.observables import monomial_basis
-from edmdmap.spectral import GAMMA, eigenvalues, pseudoinverse, scale_similarity
+from edmdmap.spectral import GAMMA, eigenvalues, pseudoinverse
 from edmdmap.transfer import (
     derivative_sum_estimate,
     projection_error_bound,
@@ -28,6 +28,7 @@ from edmdmap.transfer import (
     transfer_matrix_affine,
     transfer_matrix_analytic,
 )
+from similarity import scale_similarity
 
 from test_spectral import multiset_distance
 
