@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .edmd import (
+    _MAX_COUNT,
     EdmdPair,
     build_finite,
     build_infinite,
@@ -158,8 +159,10 @@ class SweepConfig:
         except (EdmdMapError, ArithmeticError, ValueError) as exc:
             raise ConfigError(f"key 'schedule': {exc}") from exc
         finite = [m for _, m in cells if m is not None]
-        if min(finite, default=1) < 1:
-            raise ConfigError(f"key 'M': need node counts >= 1, got {min(finite)}")
+        for m in finite:
+            if not 1 <= m <= _MAX_COUNT:
+                key = "M" if self.schedule is None else "schedule"
+                raise ConfigError(f"key {key!r}: need node counts in [1, 2^62], got {m}")
         if self.delta is not None and not finite:
             raise ConfigError(f"key 'delta': {self.delta} needs a finite M, but every M is inf")
         if self.delta is not None and not all(0.0 <= self.delta <= 2.0 / m for m in finite):
@@ -448,27 +451,24 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write the header and the rows; a path that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write CSV file {str(path)!r}: {exc}") from exc
+
+
 def write_records(records: Iterable[SweepRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.n_observables,
-                    "inf" if rec.m_nodes is None else rec.m_nodes,
-                    rec.index,
-                    _fmt(rec.approx.real),
-                    _fmt(rec.approx.imag),
-                    _fmt(rec.exact.real),
-                    _fmt(rec.exact.imag),
-                    _fmt(rec.delta),
-                    _fmt(rec.delta_rank_paired),
-                    rec.eps_rank,
-                    _fmt(rec.wall_ms),
-                    rec.status,
-                ]
-            )
+    _write_csv(path, CSV_HEADER, (
+        [rec.n_observables, "inf" if rec.m_nodes is None else rec.m_nodes, rec.index,
+         _fmt(rec.approx.real), _fmt(rec.approx.imag), _fmt(rec.exact.real), _fmt(rec.exact.imag),
+         _fmt(rec.delta), _fmt(rec.delta_rank_paired), rec.eps_rank, _fmt(rec.wall_ms), rec.status]
+        for rec in records
+    ))
 
 
 def read_records(path: str | Path) -> list[SweepRecord]:
@@ -507,19 +507,11 @@ def read_records(path: str | Path) -> list[SweepRecord]:
 
 
 def write_radius_records(records: Iterable[RadiusRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["a", "N", "abs_lambda1", "essential_radius", "product_lnl1_lnN"])
-        for rec in records:
-            writer.writerow(
-                [
-                    _fmt(rec.a),
-                    rec.n_observables,
-                    _fmt(rec.abs_lambda1),
-                    _fmt(rec.essential_radius),
-                    _fmt(rec.product_log),
-                ]
-            )
+    _write_csv(path, ["a", "N", "abs_lambda1", "essential_radius", "product_lnl1_lnN"], (
+        [_fmt(rec.a), rec.n_observables, _fmt(rec.abs_lambda1), _fmt(rec.essential_radius),
+         _fmt(rec.product_log)]
+        for rec in records
+    ))
 
 
 # ----------------------------------------------------------------------

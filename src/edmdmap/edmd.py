@@ -2,11 +2,10 @@
 
 The pair (H, G) is assembled either from M equidistant nodes (empirical
 averages) or in the infinite-node limit, where H has a closed form and G
-is an integral evaluated by per-branch Gauss-Legendre quadrature -- or,
-for Fourier observables on the skewed doubling map, by the closed-form
-cross matrix.  The generalized problem lambda*H*u = G*u is reduced to the
-ordinary eigenproblem of pinv(H) @ G, justified by positive definiteness
-of H for M >= N.
+is an integral over the map's branches, evaluated by per-branch
+Gauss-Legendre quadrature for every map and dictionary.  The generalized
+problem lambda*H*u = G*u is reduced to the ordinary eigenproblem of
+pinv(H) @ G, justified by positive definiteness of H for M >= N.
 """
 
 from __future__ import annotations
@@ -19,14 +18,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError, RangeOverflowError, RankTruncationWarning
 from .maps import IntervalMap
-from .observables import (
-    FOURIER,
-    MONOMIALS,
-    ObservableBasis,
-    eval_basis,
-    fourier_cross_closed,
-    gram_infinite,
-)
+from .observables import MONOMIALS, ObservableBasis, eval_basis, gram_infinite
 from .spectral import Spectrum, eigenvalues, pseudoinverse, solve_gauss
 
 __all__ = [
@@ -50,6 +42,7 @@ _EPS_PINV = 1e-12
 # highest Gauss-Legendre order build_infinite evaluates before it gives up
 _MAX_QUAD_ORDER = 1024
 
+# largest node count M, for a literal M and for every schedule
 _MAX_COUNT = 2**62
 
 
@@ -64,8 +57,8 @@ class NodeSet:
 
 def nodes_equidistant(m: int, delta: float | None = None) -> NodeSet:
     """Equidistant node set; delta defaults to 1/M (interval midpoints)."""
-    if m < 1:
-        raise ParameterError("node count must be at least 1")
+    if not 1 <= m <= _MAX_COUNT:
+        raise ParameterError(f"node count M = {m} outside [1, 2^62]")
     if delta is None:
         delta = 1.0 / m
     if not 0.0 <= delta <= 2.0 / m:
@@ -79,7 +72,7 @@ def nodes_equidistant(m: int, delta: float | None = None) -> NodeSet:
 
 @dataclass(frozen=True)
 class Provenance:
-    """How an EDMD pair was produced: 'finite', 'infinite' or 'closed_form'."""
+    """How an EDMD pair was produced: 'finite' or 'infinite'."""
 
     kind: str
     m: int | None = None
@@ -238,14 +231,10 @@ def cross_gram_quadrature(imap: IntervalMap, basis: ObservableBasis, order: int)
 
 
 def build_infinite(imap: IntervalMap, basis: ObservableBasis) -> EdmdPair:
-    """Infinite-node pair: closed-form H; G by the Fourier/skewed-doubling
-    closed form when available, else by quadrature whose order doubles from
-    DEFAULT_QUAD_ORDER until no entry moves by more than 1e-10.  A monomial
-    pair keeps that 80-bit assembly as h_ext/g_ext and rounds it once to h/g."""
-    if basis.kind == FOURIER and imap.spectrum_kind == "skewed_doubling":
-        g = fourier_cross_closed(imap.spectrum_param, basis.size)
-        return EdmdPair(h=gram_infinite(basis), g=g, provenance=Provenance("closed_form"),
-                        basis=basis)
+    """Infinite-node pair: closed-form H; G by quadrature over the map's
+    branches, whose order doubles from DEFAULT_QUAD_ORDER until no entry
+    moves by more than 1e-10.  A monomial pair keeps that 80-bit assembly
+    as h_ext/g_ext and rounds it once to h/g."""
     order = DEFAULT_QUAD_ORDER
     coarse = cross_gram_quadrature(imap, basis, order)
     while True:

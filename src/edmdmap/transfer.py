@@ -90,7 +90,8 @@ def transfer_matrix_analytic(
     >= 4*size, at least 64, up to DEFAULT_SAMPLES or that power if larger;
     ``method`` names the S that settled.  L[k, l] is bin k of the DFT of
     g_l times radius^-k, and the leak is scaled by the largest such factor.
-    A refusal is ParameterError for a non-finite leak, else AliasingError.
+    A refusal is ParameterError for a non-finite leak, else AliasingError;
+    a branch-sum table that cannot be allocated is ParameterError naming N.
     The sum is symmetric in the branches, so it stays analytic where they
     swap across a cut (Blaschke past +-1.193i).
     """
@@ -115,7 +116,10 @@ def transfer_matrix_analytic(
     least = 1 << (4 * size - 1).bit_length()
     ceiling = max(DEFAULT_SAMPLES, least)
     start = min(ceiling, max(_START_SAMPLES, least))
-    count, l_mat = _circle_ladder(imap, sample_radius, 2 * start, 2 * ceiling, branch_sums, refuse)
+    try:
+        count, l_mat = _circle_ladder(imap, sample_radius, 2 * start, 2 * ceiling, branch_sums, refuse)
+    except MemoryError:  # the (N, 2S) table takes at least 128 N^2 bytes per branch
+        raise ParameterError(f"size N = {size} too large to allocate its branch-sum table") from None
     return TransferMatrix(l=l_mat, method=f"cauchy(radius={sample_radius}, samples={count // 2})")
 
 

@@ -194,6 +194,17 @@ class TestRunSweep:
         assert by_m[None].status.startswith("QuadratureError")
         assert "," not in by_m[None].status
 
+    def test_eigensolver_failure_recorded_in_cell(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        config = SweepConfig(imap=make_blaschke(0.3), basis_kind=FOURIER, n_values=(5,),
+                             m_values=(100, None))
+        for rec in run_sweep(config):
+            assert rec.status == "ConvergenceError: eigenvalue iteration failed: " \
+                                 "Eigenvalues did not converge"
+
     def test_rank_truncation_warning_stays_inside_cell(self):
         # N = 18 is the first fig2.2 size whose Gram matrix the eps-pseudoinverse truncates
         config = SweepConfig(
@@ -310,6 +321,9 @@ class TestRunSweep:
             pytest.param({"n_values": (0, 3)}, "N", id="N-zero"),
             pytest.param({"m_values": (), "schedule": ("cubic", 2.0)}, "schedule",
                          id="schedule-cubic"),
+            pytest.param({"m_values": (2**63 - 1,)}, "M", id="M-past-range"),
+            pytest.param({"m_values": (), "schedule": ("quadratic", 2.0**62)}, "schedule",
+                         id="schedule-quadratic-past-range"),
         ],
     )
     def test_config_error_names_key(self, fields, key):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edmdmap import cli, edmd, spectral
+from edmdmap import cli, edmd, spectral, transfer
 from edmdmap.bench import CONFIG_KEYS, parse_config, read_records
 from edmdmap.cli import main
 
@@ -113,6 +113,8 @@ BASE = "map = skewed_doubling\na = 0.5\nN = 3\nM = 10\n"
                      id="schedule-quadratic-negative"),
         pytest.param(BASE.replace("M = 10", "schedule = quadratic(0)"), "schedule",
                      id="schedule-quadratic-zero"),
+        pytest.param(BASE.replace("M = 10", "schedule = corollary1"), "schedule",
+                     id="schedule-without-value"),
         pytest.param(BASE + "delta = 0.25\n", "delta",
                      id="delta-above-2-over-M"),
         pytest.param(BASE.replace("N = 3", "N = 6,7").replace("M = 10", "M = inf")
@@ -323,6 +325,20 @@ def test_spectrum_cauchy_companion_on_blaschke(tmp_path, capsys):
     assert float(lines[header + 1].split()[1]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_unallocatable_transfer_table_exit_two(tmp_path, capsys, monkeypatch):
+    # the Cauchy branch-sum table takes 128 N^2 bytes per branch: 1.5 GiB at
+    # N = 3000, so the refusal is patched in instead of allocated
+    def refuse(z, out):
+        raise MemoryError("Unable to allocate the branch-sum table")
+
+    monkeypatch.setattr(transfer, "_power_rows", refuse)
+    path = tmp_path / "lm.cfg"
+    path.write_text("map = blaschke\nmu = 0.3\nN = 6\nM = 10\n")
+    assert main(["spectrum", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure:") and "N = 6 " in captured.err
+
+
 def test_bad_transfer_method_exit_one(tmp_path):
     # L_method is no longer a key, so it is rejected as unknown
     path = tmp_path / "lm.cfg"
@@ -517,6 +533,21 @@ def test_bad_out_exit_one_before_any_cell(tmp_path, capsys, monkeypatch, command
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error:") and str(out) in captured.err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("source", [["sweep", "--config"], ["figure", "--name", "fig1.1R"],
+                                    ["figure", "--name", "fig2.5"]],
+                         ids=["sweep", "fig1.1R", "fig2.5"])
+def test_unwritable_out_exit_one(tmp_path, capsys, source):
+    # /dev/full opens for writing, and every write to it fails with ENOSPC
+    path = tmp_path / "grid.cfg"
+    path.write_text(GRID)
+    argv = source + ([str(path)] if source[0] == "sweep" else [])
+    assert main([*argv, "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and "'/dev/full'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["sweep", "figure"])

@@ -24,7 +24,13 @@ from edmdmap.errors import (
     RankTruncationWarning,
 )
 from edmdmap.maps import exact_spectrum_values, make_blaschke, make_skewed_doubling
-from edmdmap.observables import eval_basis, fourier_basis, gram_infinite, monomial_basis
+from edmdmap.observables import (
+    eval_basis,
+    fourier_basis,
+    fourier_cross_closed,
+    gram_infinite,
+    monomial_basis,
+)
 from edmdmap.spectral import eigenvalues, spectral_norm
 from edmdmap.transfer import transfer_matrix_affine
 from similarity import scale_similarity
@@ -67,6 +73,12 @@ class TestNodes:
             nodes_equidistant(10, -0.01)
         with pytest.raises(ParameterError):
             nodes_equidistant(0)
+
+    @pytest.mark.parametrize("m", [2**62 + 1, 2**63 - 1, 2**63 + 1024])
+    def test_count_past_range_names_m(self, m):
+        # past 2^62; numpy's arange(M) is empty near 2^63, so such an M gave no nodes
+        with pytest.raises(ParameterError, match=f"M = {m} outside"):
+            nodes_equidistant(m)
 
     @pytest.mark.parametrize("m", [2**50, 2**60])
     def test_unallocatable_count_names_m(self, m):
@@ -265,10 +277,19 @@ class TestBuildInfinite:
         assert not any(array.flags.writeable for rule in edmd._leggauss_cache.values()
                        for array in rule)
 
-    def test_fourier_skewed_uses_closed_form(self):
-        pair = build_infinite(make_skewed_doubling(0.3), fourier_basis(7))
-        assert pair.provenance.kind == "closed_form"
-        assert pair.g.dtype == float and np.array_equal(pair.h, np.eye(7))
+    @pytest.mark.parametrize("a", [0.0, 0.3, SKEW, 0.95])
+    @pytest.mark.parametrize("n", [7, 21, 49])
+    def test_fourier_skewed_quadrature_matches_closed_form(self, a, n):
+        pair = build_infinite(make_skewed_doubling(a), fourier_basis(n))
+        assert pair.provenance.kind == "infinite"
+        assert pair.g.dtype == float and np.array_equal(pair.h, np.eye(n))
+        assert np.abs(pair.g - fourier_cross_closed(a, n)).max() < 1e-13
+
+    def test_g_follows_the_branches_not_the_label(self):
+        # labelled for a = 0.3, built from the a = 0.6 branches
+        imap = replace(make_skewed_doubling(0.3), branches=make_skewed_doubling(0.6).branches)
+        pair = build_infinite(imap, fourier_basis(7))
+        assert np.abs(pair.g - fourier_cross_closed(0.6, 7)).max() < 1e-13
 
     def test_extended_copies_for_monomials(self):
         # h and g are the float64 rounding of the one 80-bit assembly
