@@ -63,10 +63,12 @@ def nodes_equidistant(m: int, delta: float | None = None) -> NodeSet:
         delta = 1.0 / m
     if not 0.0 <= delta <= 2.0 / m:
         raise ParameterError(f"node offset delta = {delta} outside [0, 2/M]")
-    try:
-        nodes = -1.0 + delta + 2.0 * np.arange(m) / m
+    try:  # one array, scaled and shifted in place: -1 + delta + 2k/M, bit for bit
+        nodes = np.arange(0.0, 2.0 * m, 2.0)
     except (MemoryError, ValueError):  # allocation refused, or bytes past numpy's size range
         raise ParameterError(f"node count M = {m} too large to allocate its nodes") from None
+    np.divide(nodes, m, out=nodes)
+    np.add(-1.0 + delta, nodes, out=nodes)
     return NodeSet(m=m, delta=float(delta), nodes=nodes)
 
 
@@ -128,8 +130,9 @@ _PARITY_ROWS = (slice(0, None, 2), slice(1, None, 2))
 
 
 def _chunk_nodes(size: int) -> int:
-    """Nodes per build_finite chunk: an (N, c) float64 table stays within 1 MiB."""
-    return max(1, 2**17 // size)
+    """Nodes per build_finite chunk: the chunk's (N, 2c) float64 table of
+    the basis on [x | T(x)] stays within 256 KiB."""
+    return max(1, 2**14 // size)
 
 
 def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> EdmdPair:
@@ -137,6 +140,9 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
 
     The sums run over chunks of c = _chunk_nodes(N) nodes, so memory is O(N*c)
     beside the node array and no (N, M) observable table is ever built.
+    Each chunk evaluates the basis once, on the points [x | T(x)], into one
+    (N, 2c) table of at most 256 KiB; H and G are summed from views of its
+    two halves, and the table is freed before the next chunk's is built.
     H is a sum of exactly symmetric chunk Gram products (x @ x.T takes the
     symmetric rank-k BLAS update), so it is exactly symmetric.
 
@@ -150,19 +156,22 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
     step = _chunk_nodes(size)
     h = np.zeros((size, size))
     g = np.zeros((size, size))
-    first, groups = 0, _ALL_ROWS
-    if (basis.kind == MONOMIALS and imap.odd and nodes.m % 2 == 0
-            and nodes.delta == 1.0 / nodes.m):
-        first, groups = nodes.m // 2, _PARITY_ROWS  # nodes[M/2:] are the x > 0
-    for lo in range(first, nodes.m, step):
+    mirrored = (basis.kind == MONOMIALS and imap.odd and nodes.m % 2 == 0
+                and nodes.delta == 1.0 / nodes.m)
+    groups = _PARITY_ROWS if mirrored else _ALL_ROWS
+    # nodes[M/2:] are the x > 0; no start index is kept, so the mirrored
+    # path holds no object that the full path does not
+    for lo in range(nodes.m // 2 if mirrored else 0, nodes.m, step):
         x = nodes.nodes[lo : lo + step]
-        psi_x = eval_basis(basis, x)
-        psi_tx = eval_basis(basis, imap(x))
-        for rows in groups:  # unnamed row views: a named one keeps psi_x alive into the next chunk
-            h[rows, rows] += psi_x[rows] @ psi_x[rows].T
-            g[rows, rows] += psi_tx[rows] @ psi_x[rows].T
-    h /= nodes.m - first
-    g /= nodes.m - first
+        c = x.size
+        t = eval_basis(basis, np.concatenate([x, imap(x)]))  # columns: psi(x), then psi(T(x))
+        for rows in groups:  # unnamed views: a named one would keep t alive past the del
+            h[rows, rows] += t[rows, :c] @ t[rows, :c].T
+            g[rows, rows] += t[rows, c:] @ t[rows, :c].T
+        del t  # free this table before the next chunk's is built
+    count = nodes.m // 2 if mirrored else nodes.m
+    h /= count
+    g /= count
     return EdmdPair(
         h=h,
         g=g,

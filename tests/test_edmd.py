@@ -86,6 +86,23 @@ class TestNodes:
         with pytest.raises(ParameterError, match=f"M = {m} "):
             nodes_equidistant(m)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 1000, 2**17 + 1, 10**5, 10**6])
+    @pytest.mark.parametrize("share", [0.0, 1.0, 2.0, 0.6], ids=["0", "1/M", "2/M", "0.6/M"])
+    def test_nodes_bit_identical_to_formula(self, m, share):
+        delta = share / m
+        expected = -1.0 + delta + 2.0 * np.arange(m) / m
+        assert nodes_equidistant(m, delta).nodes.tobytes() == expected.tobytes()
+
+    def test_memory_one_node_array(self):
+        # the nodes are scaled and shifted in place: one 8 MB array, no temporaries
+        tracemalloc.start()
+        try:
+            nodes_equidistant(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 8 * 10**6
+
 
 def mirrored(basis, nodes):
     """Whether build_finite mirrors this odd-map build (Blaschke maps are odd)."""
@@ -163,23 +180,46 @@ class TestBuildFinite:
             assert np.abs(pair.h - h).max() <= 1e-14
             assert np.abs(pair.g - g).max() <= 1e-14
 
-    def test_memory_bounded_by_chunk(self):
-        # a whole (16, 10^6) table pair is 256 MB; one chunk's tables are 2 MiB
-        imap, basis, nodes = make_blaschke(0.3), monomial_basis(16), nodes_equidistant(10**6)
+    @pytest.mark.parametrize("imap", [make_blaschke(0.3), make_skewed_doubling(SKEW)],
+                             ids=["blaschke", "skewed"])
+    @pytest.mark.parametrize("basis", [monomial_basis(16), fourier_basis(7), fourier_basis(49)],
+                             ids=["mono16", "fourier7", "fourier49"])
+    @pytest.mark.parametrize("c", [1, 2, 3, 17, 1023, 2730])
+    def test_fused_table_matches_separate_tables(self, imap, basis, c):
+        # build_finite evaluates the basis once on [x | T(x)]; each half must be
+        # the table of its own points, bit for bit
+        x = nodes_equidistant(3 * c).nodes[c : 2 * c]
+        tx = imap(x)
+        fused = eval_basis(basis, np.concatenate([x, tx]))
+        assert fused[:, :c].tobytes() == eval_basis(basis, x).tobytes()
+        assert fused[:, c:].tobytes() == eval_basis(basis, tx).tobytes()
+
+    @pytest.mark.parametrize("imap, basis", [
+        (make_blaschke(0.3), monomial_basis(16)),
+        (make_skewed_doubling(SKEW), monomial_basis(6)),
+        (make_skewed_doubling(SKEW), fourier_basis(49)),
+        (make_blaschke(0.3), monomial_basis(2)),
+    ], ids=["blaschke-mono16", "skewed-mono6", "skewed-fourier49", "blaschke-mono2"])
+    def test_memory_bounded_by_chunk(self, imap, basis):
+        # a whole (N, 10^6) table pair is 16N MB; one chunk's [x | T(x)] table is at most 256 KiB
+        nodes = nodes_equidistant(10**6)
         tracemalloc.start()
         try:
             build_finite(imap, basis, nodes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 2**20
+
+
+C16 = edmd._chunk_nodes(16)  # nodes per chunk at N = 16
 
 
 class TestMirroredBuild:
     # odd map, monomials, an even count of midpoint nodes: build_finite sums
     # over the M/2 nodes x > 0 and the two parity blocks only
     @pytest.mark.parametrize("size", [15, 16])
-    @pytest.mark.parametrize("m", [2, 100, 2 * 8192 + 2, 10**5])
+    @pytest.mark.parametrize("m", [2, 100, 2 * C16 + 2, 10**5], ids=["2", "100", "2c+2", "100000"])
     def test_reads_half_the_nodes(self, size, m):
         read = []
 
@@ -203,7 +243,7 @@ class TestMirroredBuild:
 
     @pytest.mark.parametrize("imap, basis, m, delta", [
         (make_blaschke(0.3), monomial_basis(16), 101, None),
-        (make_blaschke(0.3), monomial_basis(16), 3 * 8192 + 5, None),
+        (make_blaschke(0.3), monomial_basis(16), 3 * C16 + 5, None),
         (make_blaschke(0.3), monomial_basis(16), 1000, 0.0),
         (make_blaschke(0.3), monomial_basis(16), 1000, 0.6 / 1000),
         (make_blaschke(0.3), fourier_basis(21), 1000, None),
@@ -216,8 +256,8 @@ class TestMirroredBuild:
         assert np.array_equal(pair.h, h) and np.array_equal(pair.g, g)
 
     def test_memory_no_higher_than_full_path(self):
-        # a chunk holds two 1 MiB tables and the map's temporaries (3.07 MiB
-        # in all); a named row view would keep the previous chunk's table alive too
+        # a chunk holds one 256 KiB [x | T(x)] table and the map's temporaries;
+        # a named row view would keep the previous chunk's table alive too
         imap, basis, m = make_blaschke(0.3), monomial_basis(16), 10**6
         peaks = []
         for nodes in (nodes_equidistant(m), nodes_equidistant(m, 0.0)):
@@ -228,7 +268,7 @@ class TestMirroredBuild:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= peaks[1] < 3.5 * 2**20
+        assert peaks[0] <= peaks[1] < 2**20
 
 
 class TestBuildInfinite:
