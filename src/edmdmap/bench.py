@@ -9,6 +9,7 @@ are recorded in the ``status`` column and never abort a sweep.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 import time
@@ -99,14 +100,12 @@ def match_spectra(
         )
     delta = np.empty(k_max)
     matched = np.empty(k_max, dtype=complex)
-    used = np.zeros(a.size, dtype=bool)
+    dist = np.abs(a - e[:k_max, np.newaxis])  # row n: |a - e[n]|
     for n in range(k_max):
-        dist = np.abs(a - e[n])
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        used[j] = True
-        delta[n] = dist[j]
+        j = int(np.argmin(dist[n]))  # ties go to the first index
+        delta[n] = dist[n, j]
         matched[n] = a[j]
+        dist[n + 1 :, j] = np.inf  # a[j] is used
     delta_rank = np.abs(a[:k_max] - e[:k_max])
     return MatchResult(delta=delta, delta_rank=delta_rank, matched=matched)
 
@@ -219,17 +218,15 @@ class SweepPairs:
 
 
 def _run_cell(
-    config: SweepConfig, pairs: SweepPairs, n: int, m: int | None
+    config: SweepConfig, pairs: SweepPairs, exact_values, n: int, m: int | None
 ) -> list[SweepRecord]:
     indices = config.eigen_indices if config.eigen_indices is not None else tuple(range(n))
     t0 = time.perf_counter()
     try:
         pair = pairs.pair(n, m)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RankTruncationWarning)
-            spec = edmd_spectrum(pair)
+        spec = edmd_spectrum(pair)
         k_max = max(indices) + 1
-        exact = exact_spectrum_values(config.imap, k_max)
+        exact = exact_values(k_max)
         match = match_spectra(spec, exact, k_max)
         # (approx, exact, delta, delta_rank_paired) per requested index
         values = [
@@ -252,9 +249,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the whole grid, one cell after another; rows come back in
     grid order.  The cells at one M, inf included, share one pair
     (SweepPairs), and a cell's wall_ms includes that build only if the
-    cell triggered it."""
+    cell triggered it.  The exact values are computed once per k_max (a
+    map without them fails each cell), and RankTruncationWarning is
+    silenced for the sweep: a cell reports the truncation as eps_rank."""
     pairs = SweepPairs(config)
-    return [record for n, m in config.cells() for record in _run_cell(config, pairs, n, m)]
+    exact_values = functools.cache(functools.partial(exact_spectrum_values, config.imap))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RankTruncationWarning)
+        return [record for n, m in config.cells()
+                for record in _run_cell(config, pairs, exact_values, n, m)]
 
 
 class FitResult(NamedTuple):

@@ -10,6 +10,7 @@ with failed cells.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -177,7 +178,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="edmdmap",
         description="EDMD spectra of transfer/Koopman operators for interval maps",
@@ -197,9 +200,12 @@ def main(argv=None) -> int:
 
     p_bounds = sub.add_parser("bounds", help="print bound values next to measurements")
     p_bounds.add_argument("--config", required=True)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, the numerical-failure code
         if exc.code == 0:  # --help
             raise

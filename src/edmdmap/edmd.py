@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ParameterError, QuadratureError, RangeOverflowError, RankTruncationWarning
-from .maps import IntervalMap
+from .maps import IntervalMap, _forward_runs
 from .observables import MONOMIALS, ObservableBasis, eval_basis, gram_infinite
 from .spectral import Spectrum, eigenvalues, pseudoinverse, solve_gauss
 
@@ -140,10 +140,13 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
 
     The sums run over chunks of c = _chunk_nodes(N) nodes, so memory is O(N*c)
     beside the node array and no (N, M) observable table is ever built.
-    Each chunk evaluates the basis once, on the points [x | T(x)], into one
-    (N, 2c) table of at most 256 KiB; H and G are summed from views of its
-    two halves, and the table is freed before the next chunk's is built.
-    H is a sum of exactly symmetric chunk Gram products (x @ x.T takes the
+    One point buffer and one table are allocated per build and reused by
+    every chunk.  A chunk's nodes are copied into the first half of the
+    points [x | T(x)], each branch maps its own run of them into the second
+    half (so the nodes must not decrease; a decrease raises ParameterError),
+    and the basis on those 2c points fills an (N, 2c) view of the table, at
+    most 256 KiB.  H and G are summed from views of its two halves.  H is
+    a sum of exactly symmetric chunk Gram products (x @ x.T takes the
     symmetric rank-k BLAS update), so it is exactly symmetric.
 
     An odd map (``imap.odd``) on an even count of midpoint nodes with
@@ -159,19 +162,25 @@ def build_finite(imap: IntervalMap, basis: ObservableBasis, nodes: NodeSet) -> E
     mirrored = (basis.kind == MONOMIALS and imap.odd and nodes.m % 2 == 0
                 and nodes.delta == 1.0 / nodes.m)
     groups = _PARITY_ROWS if mirrored else _ALL_ROWS
-    # nodes[M/2:] are the x > 0; no start index is kept, so the mirrored
-    # path holds no object that the full path does not
-    for lo in range(nodes.m // 2 if mirrored else 0, nodes.m, step):
-        x = nodes.nodes[lo : lo + step]
-        c = x.size
-        t = eval_basis(basis, np.concatenate([x, imap(x)]))  # columns: psi(x), then psi(T(x))
-        for rows in groups:  # unnamed views: a named one would keep t alive past the del
+    # nodes[M/2:] are the x > 0; both paths then loop over the same indices
+    # and keep no count, so the mirrored one holds no object the full one does not
+    read = nodes.nodes[nodes.m // 2 if mirrored else 0 :]
+    points = np.empty(2 * min(step, read.size))
+    table = np.empty(size * points.size)  # each chunk's (N, 2c) table is a view of its head
+    for lo in range(0, read.size, step):
+        ordered = read[max(lo - 1, 0) : lo + step]  # with the previous chunk's last node
+        if (ordered[1:] < ordered[:-1]).any():
+            raise ParameterError("build_finite needs nodes in non-decreasing order")
+        c = min(step, read.size - lo)
+        pts = points[: 2 * c]
+        pts[:c] = read[lo : lo + c]
+        _forward_runs(imap, pts[:c], pts[c:])
+        t = eval_basis(basis, pts, out=table[: size * 2 * c].reshape(size, 2 * c))
+        for rows in groups:  # columns: psi(x), then psi(T(x))
             h[rows, rows] += t[rows, :c] @ t[rows, :c].T
             g[rows, rows] += t[rows, c:] @ t[rows, :c].T
-        del t  # free this table before the next chunk's is built
-    count = nodes.m // 2 if mirrored else nodes.m
-    h /= count
-    g /= count
+    h /= read.size
+    g /= read.size
     return EdmdPair(
         h=h,
         g=g,

@@ -129,8 +129,21 @@ class IntervalMap:
             mask = idx == b
             if np.any(mask):
                 out[mask] = branch.forward(arr[mask])
-        out = np.clip(out, -1.0, 1.0)
+        np.clip(out, -1.0, 1.0, out=out)
         return float(out) if np.ndim(x) == 0 else out
+
+
+def _forward_runs(imap: IntervalMap, x: np.ndarray, out: np.ndarray) -> None:
+    """Write T(x) into ``out`` for float64 nodes ``x`` in non-decreasing
+    order: each branch maps its own run of nodes, split at the critical
+    points so that a node on one takes the branch to its left, as in
+    ``IntervalMap.__call__``, whose values this matches bit for bit.  Nodes
+    are not checked against [-1, 1]; the caller checks x and T(x)."""
+    ends = (0, *np.searchsorted(x, imap.critical_points, side="right"), x.size)
+    for branch, lo, hi in zip(imap.branches, ends, ends[1:]):
+        if lo < hi:
+            out[lo:hi] = branch.forward(x[lo:hi])
+    np.clip(out, -1.0, 1.0, out=out)
 
 
 def _affine_branch(lo: float, hi: float, alpha: float, beta: float) -> Branch:

@@ -68,25 +68,45 @@ def _power_rows(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_basis(basis: ObservableBasis, x: np.ndarray | float) -> np.ndarray:
+def _fourier_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with 1, sqrt(2)*cos(k*pi*x), sqrt(2)*sin(k*pi*x), k = 1..K.
+
+    The powers z**k of z = exp(i*pi*x) are carried in two alternating
+    complex rows, each the previous one times z (the rounding of
+    _power_rows), and each is written straight into its cos and sin rows.
+    """
+    z = np.exp(1j * np.pi * x)
+    power, spare, root2 = np.ones_like(z), np.empty_like(z), np.sqrt(2.0)
+    out[0] = 1
+    for k in range(1, len(out) // 2 + 1):
+        np.multiply(power, z, out=spare)
+        power, spare = spare, power
+        np.multiply(root2, power.real, out=out[2 * k - 1])
+        np.multiply(root2, power.imag, out=out[2 * k])
+    return out
+
+
+def eval_basis(
+    basis: ObservableBasis, x: np.ndarray | float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Evaluate all N observables at x.
 
     Returns real values of shape (N,) for scalar x and (N, len(x)) for
     array x.  Fourier rows come in the order 1, sqrt(2)*cos(pi*x),
-    sqrt(2)*sin(pi*x), sqrt(2)*cos(2*pi*x), ...
+    sqrt(2)*sin(pi*x), sqrt(2)*cos(2*pi*x), ...  An array x may be given
+    ``out``, an (N, len(x)) array of x's dtype that receives the values
+    and is returned; they are those of the allocating call, bit for bit.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.result_type(np.asarray(x).dtype, float)))
     if arr.size and not (arr.min() >= -1.0 and arr.max() <= 1.0):  # NaN fails too
         raise MapDomainError("observables evaluated outside [-1, 1]")
-    if basis.kind == MONOMIALS:
-        out = _power_rows(arr, np.empty((basis.size, arr.size), dtype=arr.dtype))
-    else:
-        z = np.exp(1j * np.pi * arr)
-        powers = _power_rows(z, np.empty((basis.size // 2 + 1, arr.size), dtype=z.dtype))
+    if out is None:
         out = np.empty((basis.size, arr.size), dtype=arr.dtype)
-        out[0] = 1
-        np.multiply(np.sqrt(2.0), powers[1:].real, out=out[1::2])
-        np.multiply(np.sqrt(2.0), powers[1:].imag, out=out[2::2])
+    elif np.ndim(x) == 0 or out.shape != (basis.size, arr.size) or out.dtype != arr.dtype:
+        raise ParameterError(f"out must be a {arr.dtype} array of shape "
+                             f"({basis.size}, {arr.size}) for array x")
+    rows = _power_rows if basis.kind == MONOMIALS else _fourier_rows
+    rows(arr, out)
     return out[:, 0] if np.ndim(x) == 0 else out
 
 

@@ -32,7 +32,7 @@ from edmdmap.errors import (
     ParameterError,
     RankTruncationWarning,
 )
-from edmdmap.maps import make_blaschke, make_skewed_doubling
+from edmdmap.maps import exact_spectrum_values, make_blaschke, make_skewed_doubling
 from edmdmap.observables import (
     FOURIER,
     MONOMIALS,
@@ -74,6 +74,33 @@ class TestMatchSpectra:
     def test_length_error(self):
         with pytest.raises(ParameterError):
             match_spectra(np.array([1.0]), np.array([1.0, 0.5]), 2)
+
+    def test_matches_row_by_row_greedy(self):
+        # one distance matrix gives the greedy pairing of one |a - e[n]| row
+        # per index, ties to the first index, bit for bit
+        def row_by_row(a, e, k_max):
+            delta, matched, used = np.empty(k_max), np.empty(k_max, complex), np.zeros(a.size, bool)
+            for n in range(k_max):
+                dist = np.abs(a - e[n])
+                dist[used] = np.inf
+                j = int(np.argmin(dist))
+                used[j], delta[n], matched[n] = True, dist[j], a[j]
+            return delta, matched
+
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            size = int(rng.integers(1, 40))
+            a = rng.normal(size=size) + 1j * rng.normal(size=size)
+            e = rng.normal(size=size) + 1j * rng.normal(size=size)
+            if trial % 2:  # coarse values: many ties
+                a, e = np.round(a, 0), np.round(e, 0)
+            k_max = int(rng.integers(1, size + 1))
+            result = match_spectra(a, e, k_max)
+            delta, matched = row_by_row(a, e, k_max)
+            assert result.delta.tobytes() == delta.tobytes()
+            assert result.matched.tobytes() == matched.tobytes()
+        tie = match_spectra(np.array([0.5, 0.5, 0.9]), np.array([0.6, 0.6]), 2)
+        assert list(tie.matched) == [0.5, 0.5] and list(tie.delta) == pytest.approx([0.1, 0.1])
 
 
 class TestRunSweep:
@@ -204,6 +231,29 @@ class TestRunSweep:
         for rec in run_sweep(config):
             assert rec.status == "ConvergenceError: eigenvalue iteration failed: " \
                                  "Eigenvalues did not converge"
+
+    def test_exact_values_once_per_k_max(self, monkeypatch):
+        calls = []
+
+        def counted(imap, k_max):
+            calls.append(k_max)
+            return exact_spectrum_values(imap, k_max)
+
+        monkeypatch.setattr(bench, "exact_spectrum_values", counted)
+        config = SweepConfig(imap=make_skewed_doubling(SKEW), basis_kind=MONOMIALS,
+                             n_values=(3, 4, 5), m_values=(100, None), eigen_indices=None)
+        records = run_sweep(config)
+        assert sorted(calls) == [3, 4, 5]
+        assert all(rec.status == "ok" for rec in records)
+
+    def test_map_without_exact_spectrum_fails_every_cell(self):
+        plain = replace(make_skewed_doubling(SKEW), spectrum_kind="")
+        config = SweepConfig(imap=plain, basis_kind=MONOMIALS, n_values=(3, 4),
+                             m_values=(100, None), eigen_indices=(0, 2))
+        records = run_sweep(config)
+        assert len(records) == 8
+        assert all(rec.status == "UnsupportedMapError: map has no exact reference spectrum"
+                   for rec in records)
 
     def test_rank_truncation_warning_stays_inside_cell(self):
         # N = 18 is the first fig2.2 size whose Gram matrix the eps-pseudoinverse truncates

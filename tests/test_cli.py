@@ -479,6 +479,25 @@ def test_usage_error_exit_one(capsys, argv):
     assert captured.out == "" and "usage:" in captured.err
 
 
+def test_parser_built_once_on_first_call(capsys):
+    # not at import, so importing the CLI costs nothing extra
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import edmdmap.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "0"
+    # one parser serves every call: a usage error leaves nothing behind for --help
+    for _ in range(2):
+        assert main(["figure", "--name", "fig9"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+    assert cli._parser.cache_info().currsize == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_readme_cli_lines_match_help(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```")[1]

@@ -9,6 +9,7 @@ import pytest
 from edmdmap import edmd
 from edmdmap.edmd import (
     EdmdPair,
+    NodeSet,
     Provenance,
     build_finite,
     build_infinite,
@@ -18,6 +19,7 @@ from edmdmap.edmd import (
     nodes_equidistant,
 )
 from edmdmap.errors import (
+    MapDomainError,
     ParameterError,
     QuadratureError,
     RangeOverflowError,
@@ -194,6 +196,31 @@ class TestBuildFinite:
         assert fused[:, :c].tobytes() == eval_basis(basis, x).tobytes()
         assert fused[:, c:].tobytes() == eval_basis(basis, tx).tobytes()
 
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_branch_nan_is_a_domain_error(self, size):
+        # T(x) is checked once, by eval_basis on [x | T(x)]
+        blaschke = make_blaschke(0.3)
+        left, right = blaschke.branches
+        broken = replace(right, forward=lambda x: np.where(x > 0.5, np.nan, right.forward(x)))
+        imap = replace(blaschke, branches=(left, broken))
+        for m in (10, 10**5):
+            with pytest.raises(MapDomainError):
+                build_finite(imap, monomial_basis(size), nodes_equidistant(m))
+
+    def test_decreasing_nodes_refused(self):
+        # each branch maps its run of a chunk's ordered nodes
+        c = edmd._chunk_nodes(16)
+        ordered = nodes_equidistant(3 * c)
+        for nodes in (
+            NodeSet(m=5, delta=0.2, nodes=ordered.nodes[:5][::-1].copy()),
+            NodeSet(m=3 * c, delta=ordered.delta, nodes=np.roll(ordered.nodes, c)),  # at a chunk start
+        ):
+            with pytest.raises(ParameterError, match="non-decreasing"):
+                build_finite(make_skewed_doubling(SKEW), monomial_basis(16), nodes)
+        repeated = NodeSet(m=4, delta=0.0, nodes=np.array([-0.5, 0.0, 0.0, 0.5]))
+        pair = build_finite(make_skewed_doubling(0.0), monomial_basis(2), repeated)
+        assert pair.h[1, 1] == pytest.approx(0.125)
+
     @pytest.mark.parametrize("imap, basis", [
         (make_blaschke(0.3), monomial_basis(16)),
         (make_skewed_doubling(SKEW), monomial_basis(6)),
@@ -256,8 +283,8 @@ class TestMirroredBuild:
         assert np.array_equal(pair.h, h) and np.array_equal(pair.g, g)
 
     def test_memory_no_higher_than_full_path(self):
-        # a chunk holds one 256 KiB [x | T(x)] table and the map's temporaries;
-        # a named row view would keep the previous chunk's table alive too
+        # a build holds one 256 KiB table, reused by every chunk, its [x | T(x)]
+        # point buffer and the map's temporaries
         imap, basis, m = make_blaschke(0.3), monomial_basis(16), 10**6
         peaks = []
         for nodes in (nodes_equidistant(m), nodes_equidistant(m, 0.0)):

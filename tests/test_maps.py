@@ -8,9 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from edmdmap.edmd import _chunk_nodes, nodes_equidistant
 from edmdmap.errors import BranchCutError, MapDomainError, ParameterError, UnsupportedMapError
 from edmdmap.maps import (
+    Branch,
     IntervalMap,
+    _forward_runs,
     exact_spectrum_values,
     make_blaschke,
     make_skewed_doubling,
@@ -217,6 +220,64 @@ class TestMapInvariants:
                 IntervalMap(branches=T.branches, deriv_sup=T.deriv_sup, expansion_params=params)
         with pytest.raises(ParameterError):  # a map that does not expand
             IntervalMap(branches=T.branches, deriv_sup=0.5)
+
+
+def three_branch_map():
+    """Affine full-branch map on [-1, -0.2], [-0.2, 0.4], [0.4, 1], the middle
+    branch decreasing, built from Branch and IntervalMap."""
+    def branch(lo, hi, decreasing=False):
+        alpha = (hi - lo) / 2.0 * (-1.0 if decreasing else 1.0)
+        beta = (hi + lo) / 2.0
+        return Branch(
+            domain_lo=lo,
+            domain_hi=hi,
+            forward=lambda x: (np.asarray(x) - beta) / alpha,
+            inverse=lambda z: alpha * np.asarray(z) + beta,
+            inverse_derivative=lambda z: np.full_like(np.asarray(z, dtype=complex), alpha),
+            affine=(alpha, beta),
+        )
+
+    return IntervalMap(branches=(branch(-1.0, -0.2), branch(-0.2, 0.4, decreasing=True),
+                                 branch(0.4, 1.0)), deriv_sup=2.0 / 0.6)
+
+
+class TestForwardRuns:
+    # build_finite maps each chunk of ordered nodes branch by branch on its
+    # runs; the values must be those of IntervalMap.__call__, bit for bit
+    @staticmethod
+    def check_chunks(imap, x, c):
+        out = np.full(x.size + 3, np.nan)[3:]  # an unaligned start, as in a reused buffer
+        for lo in range(0, x.size, c):
+            _forward_runs(imap, x[lo : lo + c].copy(), out[lo : lo + c])
+        assert out.tobytes() == imap(x).tobytes()
+
+    def test_node_on_critical_point_takes_left_branch(self):
+        imap, x = make_blaschke(0.3), nodes_equidistant(10**4, 0.0).nodes
+        assert x[5000] == 0.0 == imap.critical_points[0]
+        for c in (1, 2, 5000, 5001, _chunk_nodes(16), x.size):
+            self.check_chunks(imap, x, c)
+
+    def test_skewed_chunks_straddle_the_critical_point(self):
+        imap, x = make_skewed_doubling(SKEW), nodes_equidistant(10**4).nodes
+        for c in (3, 17, _chunk_nodes(16), _chunk_nodes(6), x.size):
+            starts = x[::c]
+            assert np.any((starts < SKEW) & (np.append(starts[1:], 2.0) > SKEW + 1e-12))
+            self.check_chunks(imap, x, c)
+
+    def test_tent_map(self):
+        from test_transfer import tent_map
+
+        for m, delta in ((1, None), (2, 0.0), (1001, None), (4096, 0.0)):
+            x = nodes_equidistant(m, delta).nodes
+            for c in (1, 7, 1024):
+                self.check_chunks(tent_map(), x, c)
+
+    def test_three_branch_map(self):
+        imap = three_branch_map()
+        assert imap.critical_points == (-0.2, 0.4)
+        x = np.sort(np.concatenate([nodes_equidistant(3000).nodes, [-0.2, -0.2, 0.4, -1.0, 1.0]]))
+        for c in (1, 2, 3, 250, 1024, x.size):
+            self.check_chunks(imap, x, c)
 
 
 class TestOdd:

@@ -107,6 +107,53 @@ class TestEvalBasis:
             # cos^2 + sin^2 = 1 for each mode, scaled by the sqrt(2) normalisation
             assert np.abs(values[1::2] ** 2 + values[2::2] ** 2 - 2.0).max() < 1e-14
 
+    @pytest.mark.parametrize("basis", [monomial_basis(1), monomial_basis(16), fourier_basis(1),
+                                       fourier_basis(7), fourier_basis(129)],
+                             ids=["mono1", "mono16", "fourier1", "fourier7", "fourier129"])
+    def test_out_matches_allocating_call(self, basis):
+        dtypes = (np.float64, np.longdouble) if basis.kind == "monomials" else (np.float64,)
+        for dtype in dtypes:
+            for xs in (_sample_points(dtype), np.linspace(-1.0, 1.0, 2048).astype(dtype),
+                       np.empty(0, dtype)):
+                expected = eval_basis(basis, xs)
+                # a fresh array, and the head of a wider table (rows further apart)
+                for out in (np.empty((basis.size, xs.size), dtype),
+                            np.full((basis.size, xs.size + 5), np.nan, dtype)[:, : xs.size]):
+                    assert eval_basis(basis, xs, out=out) is out
+                    # value and sign bit for bit; longdouble's padding bytes are not compared
+                    assert np.array_equal(out, expected)
+                    assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_out_checked(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        for out in (np.empty((3, 4)), np.empty((2, 5)), np.empty((3, 5), np.longdouble)):
+            with pytest.raises(ParameterError):
+                eval_basis(monomial_basis(3), xs, out=out)
+        with pytest.raises(ParameterError):  # a scalar x returns a row, not a table
+            eval_basis(monomial_basis(3), 0.5, out=np.empty((3, 1)))
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 21, 49, 65, 99, 129])
+    def test_fourier_rows_match_complex_power_table(self, n):
+        # the rows are written from two alternating complex power rows; the
+        # whole table of powers z^k, then cos/sin copied out, rounds alike
+        def table_reference(x):
+            arr = np.atleast_1d(np.asarray(x, dtype=float))
+            z = np.exp(1j * np.pi * arr)
+            powers = np.empty((n // 2 + 1, arr.size), dtype=complex)
+            powers[0] = 1
+            for k in range(1, len(powers)):
+                np.multiply(powers[k - 1], z, out=powers[k])
+            out = np.empty((n, arr.size))
+            out[0] = 1
+            np.multiply(np.sqrt(2.0), powers[1:].real, out=out[1::2])
+            np.multiply(np.sqrt(2.0), powers[1:].imag, out=out[2::2])
+            return out[:, 0] if np.ndim(x) == 0 else out
+
+        rng = np.random.default_rng(n)
+        for x in (0.37, np.array([-0.61]), rng.uniform(-1.0, 1.0, 17),
+                  np.linspace(-1.0, 1.0, 1000), rng.uniform(-1.0, 1.0, 5000)):
+            assert eval_basis(fourier_basis(n), x).tobytes() == table_reference(x).tobytes()
+
     def test_domain_check(self):
         with pytest.raises(MapDomainError):
             eval_basis(monomial_basis(3), 1.0001)
